@@ -15,9 +15,9 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .convergence import run_convergence
+from .convergence import run_methods
 from .errors import EstimationError, PanelDataError
-from .estimators import METHODS, ModelSpec
+from .estimators import METHODS
 from .io_report import (
     FORMATS,
     location_quotients_from_rows,
@@ -63,10 +63,20 @@ def _add_output_flags(parser):
     parser.add_argument("--out", help="write output here instead of stdout")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_dgp_flags(parser):
     parser.add_argument("--seed", type=int, required=True, help="RNG seed (required)")
-    parser.add_argument("--regions", type=int, default=5)
-    parser.add_argument("--periods", type=int, default=9)
+    parser.add_argument("--regions", type=_positive_int, default=5)
+    parser.add_argument("--periods", type=_positive_int, default=9)
     parser.add_argument("--b-true", dest="b_true", type=float, default=-0.3)
     parser.add_argument("--intercept", type=float, default=0.0)
     parser.add_argument(
@@ -115,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     recover = sub.add_parser("recover", help="Monte Carlo estimator recovery")
     _add_dgp_flags(recover)
-    recover.add_argument("--reps", type=int, default=500)
+    recover.add_argument("--reps", type=_positive_int, default=500)
     recover.add_argument(
         "--methods",
         default="all",
@@ -170,11 +180,7 @@ def _cmd_fit(args) -> None:
     else:
         panel = panel_from_rows(rows, args.sector, args.from_year, args.to_year)
     methods = METHODS if args.method == "all" else (args.method,)
-    reports = [
-        run_convergence(panel, ModelSpec(method=method, structural=structural))
-        for method in methods
-    ]
-    _emit(render_report(reports, args.format), args.out)
+    _emit(render_report(run_methods(panel, methods, structural), args.format), args.out)
 
 
 def _cmd_sigma(args) -> None:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import PanelDataError
-from .estimators import ModelSpec, fit_gls_random_effects, fit_lsdv, fit_pooled
+from .estimators import ModelSpec, fit_method
 from .panel import GrowthSample, PanelDataset, build_growth_sample
 from .regression import FitResult, t_critical
 
@@ -158,11 +159,13 @@ def report_from_fit(fit: FitResult, spec: ModelSpec, sample: GrowthSample) -> Co
 
 def run_convergence(panel: PanelDataset, spec: ModelSpec) -> ConvergenceReport:
     """Build the growth sample, fit the spec's method and classify."""
-    sample = build_growth_sample(panel, spec.structural)
-    if spec.method == "pooled":
-        fit = fit_pooled(sample, spec)
-    elif spec.method == "lsdv":
-        fit = fit_lsdv(sample, spec)
-    else:
-        fit = fit_gls_random_effects(sample, spec)
-    return report_from_fit(fit, spec, sample)
+    return run_methods(panel, (spec.method,), spec.structural)[0]
+
+
+def run_methods(
+    panel: PanelDataset, methods: Sequence[str], structural: tuple[str, ...] = ()
+) -> list[ConvergenceReport]:
+    """Build the growth sample once, then fit and classify each method on it."""
+    specs = [ModelSpec(method=method, structural=structural) for method in methods]
+    sample = build_growth_sample(panel, structural)
+    return [report_from_fit(fit_method(spec.method, sample, spec), spec, sample) for spec in specs]

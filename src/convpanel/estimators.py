@@ -1,8 +1,9 @@
 """The three panel estimators for the growth equation.
 
 Pooled OLS stacks all transitions behind a single intercept; LSDV
-replaces the intercept with one indicator column per region (fixed
-effects); the random-effects estimator is feasible GLS via Swamy-Arora
+replaces the intercept with one indicator per region (fixed effects),
+absorbed by the within transform rather than built as columns; the
+random-effects estimator is feasible GLS via Swamy-Arora
 quasi-demeaning. Column labels follow the reporting convention:
 "Const.", region dummies "D1".."DR", the convergence coefficient
 "Coef.1", and structural regressors "Coef.2", "Coef.3", ...
@@ -19,9 +20,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EstimationError, PanelDataError
+from .errors import EstimationError, PanelDataError, RankDeficientError
 from .panel import GrowthSample
-from .regression import DesignMatrix, FitResult, least_squares
+from .regression import (
+    RANK_TOLERANCE,
+    DesignMatrix,
+    FitResult,
+    least_squares,
+    r_squared,
+    t_ratios,
+)
 
 METHODS = ("pooled", "lsdv", "gls")
 
@@ -97,24 +105,6 @@ def _check_sample(sample: GrowthSample, spec: ModelSpec) -> None:
         )
 
 
-def _slope_columns(sample: GrowthSample) -> np.ndarray:
-    cols = [np.array([row.x for row in sample.rows])]
-    for j in range(len(sample.structural_names)):
-        cols.append(np.array([row.structural[j] for row in sample.rows]))
-    return np.column_stack(cols)
-
-
-def _response(sample: GrowthSample) -> np.ndarray:
-    return np.array([row.y for row in sample.rows])
-
-
-def _metadata(sample: GrowthSample) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    return (
-        tuple(row.region for row in sample.rows),
-        tuple(row.year for row in sample.rows),
-    )
-
-
 def fit_pooled(sample: GrowthSample, spec: ModelSpec) -> FitResult:
     """Pooled OLS: common intercept plus the slope block.
 
@@ -123,57 +113,83 @@ def fit_pooled(sample: GrowthSample, spec: ModelSpec) -> FitResult:
     spec -> 38).
     """
     _check_sample(sample, spec)
-    regions, years = _metadata(sample)
-    slopes = _slope_columns(sample)
-    X = np.column_stack([np.ones(sample.row_count), slopes])
-    design = DesignMatrix(X, ("Const.",) + spec.slope_labels, regions, years)
-    return least_squares(design, _response(sample), method="pooled")
+    X = np.column_stack([np.ones(sample.row_count), sample.slopes])
+    design = DesignMatrix(X, ("Const.",) + spec.slope_labels, sample.rows.code, sample.rows.year)
+    return least_squares(design, sample.y, method="pooled")
+
+
+def _within_fit(sample: GrowthSample, spec: ModelSpec) -> FitResult:
+    """The slope block fitted on region-demeaned data (Frisch-Waugh-Lovell).
+
+    Its slopes and residuals are those of LSDV; its df and standard
+    errors ignore the R absorbed region means. Computed once per sample
+    and kept in ``sample.fits`` for LSDV and GLS.
+    """
+    if "within" in sample.fits:
+        return sample.fits["within"]
+    counts = sample.region_counts
+    if not counts.all():
+        raise RankDeficientError(f"D{np.flatnonzero(counts == 0)[0] + 1}")
+    slopes = sample.slopes
+    n, r, k = sample.row_count, counts.size, slopes.shape[1]
+    if n <= r + k:
+        raise EstimationError(f"need more rows than columns, got n={n}, k={r + k}")
+    y_within, slopes_within = sample.demeaned()
+    # a regressor constant within every region demeans to rounding noise,
+    # which only its norm before demeaning can tell from variation
+    norms = np.linalg.norm(slopes_within, axis=0)
+    absorbed = norms <= RANK_TOLERANCE * np.linalg.norm(slopes, axis=0)
+    if absorbed.any():
+        raise RankDeficientError(spec.slope_labels[np.flatnonzero(absorbed)[0]])
+    design = DesignMatrix(slopes_within, spec.slope_labels, sample.rows.code, sample.rows.year)
+    fit = least_squares(design, y_within, method="lsdv")
+    sample.fits["within"] = fit
+    return fit
 
 
 def fit_lsdv(sample: GrowthSample, spec: ModelSpec) -> FitResult:
     """Least squares with region dummies and no common intercept.
 
-    One indicator column per contributing region, labeled "D1".."DR" in
-    the sample's region order; residual degrees of freedom are
-    n - R - slopes. A region contributing a single row gets its dummy
-    fitted to that row exactly; the fit proceeds with a warning flag.
+    The dummies are absorbed: the slopes b come from the within fit and
+    each dummy is recovered as alpha_i = ybar_i - xbar_i'b, with
+    SE^2 = s^2/T_i + xbar_i' V_b xbar_i. Labels are "D1".."DR" in the
+    sample's region order, then the slopes; residual degrees of freedom
+    are n - R - slopes. A region contributing a single row gets its
+    dummy fitted to that row exactly; the fit proceeds with a warning
+    flag.
     """
     _check_sample(sample, spec)
-    regions, years = _metadata(sample)
-    region_index = {region: i for i, region in enumerate(sample.regions)}
-    dummies = np.zeros((sample.row_count, len(sample.regions)))
-    for i, row in enumerate(sample.rows):
-        dummies[i, region_index[row.region]] = 1.0
-    slopes = _slope_columns(sample)
-    X = np.column_stack([dummies, slopes])
-    dummy_labels = tuple(f"D{i + 1}" for i in range(len(sample.regions)))
-    design = DesignMatrix(X, dummy_labels + spec.slope_labels, regions, years)
+    within = _within_fit(sample, spec)
+    counts = sample.region_counts
+    df = within.df_residual - counts.size
+    s2 = within.sse / df
+    b = np.array(within.coefficients)
+    cov_b = s2 * within.xtx_inv
+    means_y, means_x = sample.region_means()
+    alpha = means_y - means_x @ b
+    se_alpha = np.sqrt(s2 / counts + np.einsum("ij,jk,ik->i", means_x, cov_b, means_x))
+    coefficients = np.concatenate([alpha, b])
+    std_errors = np.concatenate([se_alpha, np.sqrt(np.diag(cov_b))])
+    tss, r2 = r_squared(within.sse, sample.y)
 
-    flags = []
-    for region in sample.regions:
-        if sum(1 for row in sample.rows if row.region == region) == 1:
-            flags.append(f"single_row_region:{region}")
-            warnings.warn(
-                f"region {region!r} contributes a single row; its dummy absorbs it",
-                stacklevel=2,
-            )
-    fit = least_squares(design, _response(sample), method="lsdv")
-    return replace(fit, flags=fit.flags + tuple(flags)) if flags else fit
-
-
-def region_means(sample: GrowthSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-region means of (y, slope columns) and the region row counts."""
-    slopes = _slope_columns(sample)
-    y = _response(sample)
-    means_y = np.empty(len(sample.regions))
-    means_x = np.empty((len(sample.regions), slopes.shape[1]))
-    counts = np.empty(len(sample.regions))
-    for i, region in enumerate(sample.regions):
-        mask = np.array([row.region == region for row in sample.rows])
-        counts[i] = mask.sum()
-        means_y[i] = y[mask].mean()
-        means_x[i] = slopes[mask].mean(axis=0)
-    return means_y, means_x, counts
+    single = [region for region, count in zip(sample.regions, counts) if count == 1]
+    for region in single:
+        warnings.warn(
+            f"region {region!r} contributes a single row; its dummy absorbs it",
+            stacklevel=2,
+        )
+    return replace(
+        within,
+        labels=tuple(f"D{i + 1}" for i in range(counts.size)) + within.labels,
+        coefficients=tuple(coefficients.tolist()),
+        std_errors=tuple(std_errors.tolist()),
+        t_stats=t_ratios(coefficients, std_errors),
+        tss_centered=tss,
+        r_squared=r2,
+        df_residual=df,
+        flags=tuple(f"single_row_region:{region}" for region in single),
+        xtx_inv=None,
+    )
 
 
 def estimate_variance_components(sample: GrowthSample, spec: ModelSpec) -> VarianceComponents:
@@ -186,17 +202,19 @@ def estimate_variance_components(sample: GrowthSample, spec: ModelSpec) -> Varia
     sigma2_e over the harmonic mean of the region sizes (exact for
     balanced panels) and truncating at zero.
     """
-    within = fit_lsdv(sample, replace(spec, method="lsdv"))
-    sigma2_e = within.sse / within.df_residual
-    y = _response(sample)
+    _check_sample(sample, spec)
+    within = _within_fit(sample, spec)
+    counts = sample.region_counts
+    r = counts.size
+    sigma2_e = within.sse / (within.df_residual - r)
+    y = sample.y
     if sigma2_e <= 1e-24 * (1.0 + float(np.mean(y * y))):
         raise EstimationError(
             "degenerate panel: within fit is (numerically) exact, "
             "idiosyncratic variance is zero"
         )
 
-    means_y, means_x, counts = region_means(sample)
-    r = len(sample.regions)
+    means_y, means_x = sample.region_means()
     k_between = means_x.shape[1] + 1
     if r < k_between:
         raise EstimationError(
@@ -217,11 +235,11 @@ def estimate_variance_components(sample: GrowthSample, spec: ModelSpec) -> Varia
     truncated = sigma2_u < 0.0
     sigma2_u = max(sigma2_u, 0.0)
 
-    theta = {
-        region: float(1.0 - np.sqrt(sigma2_e / (counts[i] * sigma2_u + sigma2_e)))
-        for i, region in enumerate(sample.regions)
-    }
-    return VarianceComponents(float(sigma2_e), float(sigma2_u), theta, truncated, between_df)
+    theta = 1.0 - np.sqrt(sigma2_e / (counts * sigma2_u + sigma2_e))
+    return VarianceComponents(
+        float(sigma2_e), float(sigma2_u), dict(zip(sample.regions, theta.tolist())),
+        truncated, between_df,
+    )
 
 
 def fit_gls_random_effects(
@@ -260,18 +278,9 @@ def fit_gls_random_effects(
         theta = {region: theta_override for region in sample.regions}
         flags = ("theta_override",)
 
-    regions, years = _metadata(sample)
-    slopes = _slope_columns(sample)
-    y = _response(sample)
-    means_y, means_x, _ = region_means(sample)
-    index = {region: i for i, region in enumerate(sample.regions)}
-    theta_rows = np.array([theta[row.region] for row in sample.rows])
-    mean_rows_y = np.array([means_y[index[row.region]] for row in sample.rows])
-    mean_rows_x = np.vstack([means_x[index[row.region]] for row in sample.rows])
-
-    y_star = y - theta_rows * mean_rows_y
-    slopes_star = slopes - theta_rows[:, None] * mean_rows_x
-    intercept_star = 1.0 - theta_rows
+    theta_regions = np.array([theta[region] for region in sample.regions])
+    y_star, slopes_star = sample.demeaned(theta_regions)
+    intercept_star = 1.0 - theta_regions[sample.rows.code]
 
     if np.all(intercept_star == 0.0):
         X = slopes_star
@@ -280,6 +289,13 @@ def fit_gls_random_effects(
     else:
         X = np.column_stack([intercept_star, slopes_star])
         labels = ("Const.",) + spec.slope_labels
-    design = DesignMatrix(X, labels, regions, years)
+    design = DesignMatrix(X, labels, sample.rows.code, sample.rows.year)
     fit = least_squares(design, y_star, method="gls")
     return replace(fit, flags=fit.flags + flags) if flags else fit
+
+
+def fit_method(method: str, sample: GrowthSample, spec: ModelSpec) -> FitResult:
+    """Fit ``sample`` by ``method``, one of METHODS: the package's one
+    estimator dispatch."""
+    fitters = {"pooled": fit_pooled, "lsdv": fit_lsdv, "gls": fit_gls_random_effects}
+    return fitters[method](sample, spec)

@@ -5,7 +5,7 @@ Input files are long-format CSV, one row per (region, year, sector):
     region,year,sector,output_per_worker[,capital_output_ratio]
         [,goods_flow_output_ratio][,employment]
 
-UTF-8, comma delimited, decimal point. A pseudo-region ``NATIONAL`` may
+UTF-8 (a byte-order mark is skipped), comma delimited, decimal point. A pseudo-region ``NATIONAL`` may
 carry national employment totals for location-quotient construction; it
 never enters estimation. Reports render one row per method (Pooling,
 LSDV, GLS), estimates printed to 3 decimals (ties away from zero) with
@@ -77,7 +77,7 @@ def read_rows(source: str | Path | TextIO) -> list[PanelRow]:
         path = Path(source)
         if not path.exists():
             raise PanelDataError(f"input file not found: {path}")
-        with path.open(newline="", encoding="utf-8") as handle:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
             return read_rows(handle)
 
     reader = csv.DictReader(source)

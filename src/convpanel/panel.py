@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import PanelDataError
 
@@ -95,25 +97,61 @@ class GrowthRow:
     structural: tuple[float, ...] = ()
 
 
+@dataclass(frozen=True, eq=False)
+class GrowthColumns(Sequence[GrowthRow]):
+    """Growth-sample rows stored as columns: ``code`` indexes
+    ``regions``, and each row of the n x (2 + m) ``data`` block holds y,
+    x and the m structural values. Indexing yields :class:`GrowthRow`
+    objects built on demand."""
+
+    regions: tuple[str, ...]
+    code: np.ndarray
+    year: np.ndarray
+    data: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.code)
+
+    def __getitem__(self, i: int) -> GrowthRow:
+        y, x, *structural = self.data[i].tolist()
+        return GrowthRow(self.regions[self.code[i]], int(self.year[i]), y, x, tuple(structural))
+
+
 @dataclass(frozen=True)
 class GrowthSample:
     """Stacked regression rows for the growth equation.
 
     Rows are grouped by region and ordered by year within each region.
+    ``rows`` may be given as any sequence of :class:`GrowthRow`; it is
+    stored as :class:`GrowthColumns`, which the estimators read.
     ``regions`` lists only regions that contribute at least one row;
     ``panel_regions`` keeps the full region list of the source panel so
     reports can render empty dummy slots. ``source_cell_count`` is the
     raw number of productivity cells in the source panel (reported as
     metadata; estimation always runs on the transition rows).
+
+    ``fits`` holds fits derived from the sample, so that estimators
+    sharing one (the within fit behind LSDV and GLS) compute it once;
+    it takes no part in construction, equality or ``replace``.
     """
 
-    rows: tuple[GrowthRow, ...]
+    rows: Sequence[GrowthRow]
     structural_names: tuple[str, ...]
     regions: tuple[str, ...]
     panel_regions: tuple[str, ...]
     sector: str
     dropped_transitions: int
     source_cell_count: int
+    fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if isinstance(self.rows, GrowthColumns) and self.rows.regions == self.regions:
+            return
+        index = {region: i for i, region in enumerate(self.regions)}
+        table = [
+            (index[row.region], row.year, row.y, row.x, *row.structural) for row in self.rows
+        ]
+        object.__setattr__(self, "rows", _columns(self.regions, table, len(self.structural_names)))
 
     @property
     def row_count(self) -> int:
@@ -122,6 +160,47 @@ class GrowthSample:
     @property
     def region_count(self) -> int:
         return len(self.regions)
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.rows.data[:, 0]
+
+    @property
+    def slopes(self) -> np.ndarray:
+        """The n x (1 + m) slope block: lagged log level, then structural."""
+        return self.rows.data[:, 1:]
+
+    @property
+    def region_counts(self) -> np.ndarray:
+        """Rows per region, in ``regions`` order."""
+        return np.bincount(self.rows.code, minlength=len(self.regions)).astype(float)
+
+    def region_means(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-region means of y (length R) and of the slope block (R x (1 + m))."""
+        means = self._data_means()
+        return means[:, 0], means[:, 1:]
+
+    def demeaned(self, theta: float | np.ndarray = 1.0) -> tuple[np.ndarray, np.ndarray]:
+        """y and the slope block less theta times their region means.
+
+        ``theta`` is one weight per region, or one for all; 1 gives the
+        within transform.
+        """
+        weights = np.broadcast_to(theta, (len(self.regions),))[:, None]
+        star = self.rows.data - (weights * self._data_means())[self.rows.code]
+        return star[:, 0], star[:, 1:]
+
+    def _data_means(self) -> np.ndarray:
+        counts = self.region_counts
+        sums = [np.bincount(self.rows.code, column, counts.size) for column in self.rows.data.T]
+        return np.column_stack(sums) / counts[:, None]
+
+
+def _columns(regions: tuple[str, ...], table: list[tuple], width: int) -> GrowthColumns:
+    """Columns from (region code, year, y, x, *structural) row tuples."""
+    block = np.array(table, dtype=float).reshape(len(table), 4 + width)
+    code, year = block[:, 0].astype(np.intp), block[:, 1].astype(np.int64)
+    return GrowthColumns(regions, code, year, block[:, 2:])
 
 
 @dataclass(frozen=True)
@@ -162,11 +241,11 @@ def build_growth_sample(
         if name not in panel.structural:
             raise PanelDataError(f"panel has no structural variable {name!r}")
 
-    rows: list[GrowthRow] = []
+    table: list[tuple] = []
     contributing: list[str] = []
     dropped = 0
     for region in panel.regions:
-        n_before = len(rows)
+        n_before = len(table)
         for prev, year in zip(panel.periods, panel.periods[1:]):
             if year != prev + 1:
                 # gap in the period list: not an annual transition
@@ -188,17 +267,17 @@ def build_growth_sample(
                         f"at year {prev} (needed by the {prev}->{year} transition)"
                     )
                 extras.append(column[(region, prev)])
-            rows.append(GrowthRow(region, year, y, x, tuple(extras)))
-        if len(rows) > n_before:
+            table.append((len(contributing), year, y, x, *extras))
+        if len(table) > n_before:
             contributing.append(region)
 
-    if not rows:
+    if not table:
         raise PanelDataError(
             f"no usable transitions in sector {panel.sector!r}: "
             "every consecutive-year pair is missing at least one endpoint"
         )
     return GrowthSample(
-        rows=tuple(rows),
+        rows=_columns(tuple(contributing), table, len(names)),
         structural_names=names,
         regions=tuple(contributing),
         panel_regions=panel.regions,

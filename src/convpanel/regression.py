@@ -11,7 +11,7 @@ region boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -34,8 +34,8 @@ class DesignMatrix:
 
     values: np.ndarray
     labels: tuple[str, ...]
-    regions: tuple[str, ...]
-    years: tuple[int, ...]
+    regions: Sequence[str] | np.ndarray
+    years: Sequence[int] | np.ndarray
 
     def __post_init__(self):
         matrix = np.asarray(self.values, dtype=float)
@@ -67,6 +67,9 @@ class FitResult:
 
     ``dw`` is None when the Durbin-Watson ratio is undefined (all
     residuals zero, or no region contributes two consecutive rows).
+    ``xtx_inv`` is (X'X)^{-1} from the QR factor, so that s^2 times it
+    is the coefficient covariance; fits not made by
+    :func:`least_squares` may leave it None.
     """
 
     method: str
@@ -81,6 +84,7 @@ class FitResult:
     df_residual: int
     dw: float | None
     flags: tuple[str, ...] = ()
+    xtx_inv: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def coef(self, label: str) -> float:
         return self.coefficients[self.labels.index(label)]
@@ -138,39 +142,53 @@ def least_squares(design: DesignMatrix, y: Sequence[float], method: str = "poole
 
     residuals = response - X @ beta
     sse = float(residuals @ residuals)
-    mean = float(response.mean())
-    tss = float(((response - mean) ** 2).sum())
+    tss, r2 = r_squared(sse, response)
 
     df = n - k
     s2 = sse / df
     r_inv = solve_triangular(R, np.eye(k))
-    xtx_inv_pivoted = r_inv @ r_inv.T
-    variances = np.empty(k)
-    variances[piv] = np.diag(xtx_inv_pivoted)
-    std_errors = np.sqrt(s2 * variances)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_stats = np.where(std_errors > 0.0, beta / std_errors, np.inf * np.sign(beta))
-
-    if tss > 0.0:
-        r_squared = 1.0 - sse / tss
-    else:
-        # constant response: perfect fit counts as fully explained
-        r_squared = 1.0 if sse <= 1e-12 * n * (1.0 + mean * mean) else 0.0
+    xtx_inv = np.empty((k, k))
+    xtx_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T
+    std_errors = np.sqrt(s2 * np.diag(xtx_inv))
 
     residuals.flags.writeable = False
+    xtx_inv.flags.writeable = False
     return FitResult(
         method=method,
         labels=design.labels,
         coefficients=tuple(float(b) for b in beta),
         std_errors=tuple(float(s) for s in std_errors),
-        t_stats=tuple(float(t) for t in t_stats),
+        t_stats=t_ratios(beta, std_errors),
         residuals=residuals,
         sse=sse,
         tss_centered=tss,
-        r_squared=float(r_squared),
+        r_squared=r2,
         df_residual=df,
         dw=durbin_watson(residuals, design.regions, design.years),
+        xtx_inv=xtx_inv,
     )
+
+
+def t_ratios(coefficients: np.ndarray, std_errors: np.ndarray) -> tuple[float, ...]:
+    """Coefficient over standard error; a zero standard error gives a
+    signed infinity (NaN for a zero coefficient)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(std_errors > 0.0, coefficients / std_errors, np.inf * np.sign(coefficients))
+    return tuple(float(value) for value in t)
+
+
+def r_squared(sse: float, response: np.ndarray) -> tuple[float, float]:
+    """The TSS centered at the response mean, and 1 - SSE/TSS.
+
+    A constant response (TSS 0) counts as fully explained by a perfect
+    fit and not at all otherwise.
+    """
+    mean = float(response.mean())
+    tss = float(((response - mean) ** 2).sum())
+    if tss > 0.0:
+        return tss, float(1.0 - sse / tss)
+    n = response.size
+    return tss, 1.0 if sse <= 1e-12 * n * (1.0 + mean * mean) else 0.0
 
 
 def durbin_watson(
@@ -193,20 +211,13 @@ def durbin_watson(
     if denominator == 0.0:
         return None
 
-    by_region: dict[str, list[int]] = {}
-    for i, region in enumerate(regions):
-        by_region.setdefault(region, []).append(i)
-
-    numerator = 0.0
-    any_pair = False
-    for indices in by_region.values():
-        ordered = sorted(indices, key=lambda i: years[i])
-        for a, b in zip(ordered, ordered[1:]):
-            numerator += (res[b] - res[a]) ** 2
-            any_pair = True
-    if not any_pair:
+    codes = np.unique(np.asarray(regions), return_inverse=True)[1].reshape(-1)
+    order = np.lexsort((np.asarray(years), codes))
+    within = codes[order][1:] == codes[order][:-1]
+    if not within.any():
         return None
-    return numerator / denominator
+    steps = np.diff(res[order])[within]
+    return float(steps @ steps) / denominator
 
 
 def t_critical(df: int, level: float = 0.05) -> float:

@@ -1,0 +1,66 @@
+"""CLI input contract: byte-order marks, count flags, and one diagnostic
+per single-row region under --method all."""
+
+import warnings
+
+import pytest
+
+from convpanel.cli import main
+
+CSV = (
+    "region,year,sector,output_per_worker\n"
+    "a,2000,x,100\na,2001,x,105\na,2002,x,102\na,2003,x,108\n"
+    "b,2000,x,90\nb,2001,x,95\nb,2002,x,97\nb,2003,x,93\n"
+    "c,2002,x,80\nc,2003,x,84\n"
+    "d,2000,x,70\nd,2001,x,77\nd,2002,x,72\nd,2003,x,74\n"
+)
+
+
+def run(capsys, *argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exit_:
+        code = exit_.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("fmt", ["md", "json"])
+def test_byte_order_mark_is_skipped(tmp_path, capsys, fmt):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(CSV, encoding="utf-8")
+    marked.write_text(CSV, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    argv = ("fit", "--sector", "x", "--method", "pooled", "--format", fmt)
+    code, expected, _ = run(capsys, *argv, "--input", str(plain))
+    assert code == 0
+    code, out, err = run(capsys, *argv, "--input", str(marked))
+    assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("recover", "--seed", "1", "--reps", "0"),
+        ("recover", "--seed", "1", "--reps", "-5"),
+        ("recover", "--seed", "1", "--regions", "0"),
+        ("recover", "--seed", "1", "--periods", "-1"),
+        ("recover", "--seed", "1", "--reps", "many"),
+        ("simulate", "--seed", "1", "--regions", "0"),
+    ],
+)
+def test_nonpositive_counts_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "positive integer" in err or "invalid integer" in err
+
+
+def test_fit_all_warns_once_per_single_row_region(tmp_path, capsys):
+    path = tmp_path / "single.csv"
+    path.write_text(CSV, encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run(capsys, "fit", "--input", str(path), "--sector", "x", "--method", "all")
+    assert code == 0
+    messages = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+    assert messages == ["region 'c' contributes a single row; its dummy absorbs it"]
