@@ -121,10 +121,22 @@ def location_quotient(inp: LocationQuotientInputs) -> float:
 
     (regional_sector / national_sector) / (regional_total / national_total);
     values above 1 mark regional specialization in the sector.
+
+    Raises
+    ------
+    PanelDataError
+        If the quotient leaves the floating-point range (counts many
+        orders of magnitude apart).
     """
     sector_share = inp.regional_sector / inp.national_sector
     total_share = inp.regional_total / inp.national_total
-    return sector_share / total_share
+    quotient = sector_share / total_share if total_share > 0.0 else math.inf
+    if not math.isfinite(quotient):
+        raise PanelDataError(
+            f"location quotient out of floating-point range: regional total "
+            f"{inp.regional_total!r} against national total {inp.national_total!r}"
+        )
+    return quotient
 
 
 def report_from_fit(fit: FitResult, spec: ModelSpec, sample: GrowthSample) -> ConvergenceReport:

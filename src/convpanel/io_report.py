@@ -5,8 +5,9 @@ Input files are long-format CSV, one row per (region, year, sector):
     region,year,sector,output_per_worker[,capital_output_ratio]
         [,goods_flow_output_ratio][,employment]
 
-UTF-8 (a byte-order mark is skipped), comma delimited, decimal point. A pseudo-region ``NATIONAL`` may
-carry national employment totals for location-quotient construction; it
+UTF-8 (a byte-order mark is skipped), comma delimited, decimal point;
+numeric cells must be finite. A pseudo-region ``NATIONAL`` may carry
+national employment totals for location-quotient construction; it
 never enters estimation. Reports render one row per method (Pooling,
 LSDV, GLS), estimates printed to 3 decimals (ties away from zero) with
 t-statistics in parentheses and stars per the significance classes;
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Mapping, Sequence, TextIO
 
 from .convergence import ConvergenceReport, LocationQuotientInputs, location_quotient
 from .errors import PanelDataError
@@ -58,9 +59,12 @@ def _parse_optional(raw: str | None, column: str, line: int) -> float | None:
     if raw is None or raw.strip() == "":
         return None
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise PanelDataError(f"line {line}: cannot parse {column} value {raw!r}") from None
+    if not math.isfinite(value):
+        raise PanelDataError(f"line {line}: {column} must be finite, got {raw.strip()!r}")
+    return value
 
 
 def read_rows(source: str | Path | TextIO) -> list[PanelRow]:
@@ -69,21 +73,23 @@ def read_rows(source: str | Path | TextIO) -> list[PanelRow]:
     Raises
     ------
     PanelDataError
-        On a missing header column, an unparsable cell (with its line
-        number), a duplicate (region, year, sector) key, or nonpositive
-        productivity.
+        On a missing header column, an unparsable or non-finite cell
+        (with its line number), a duplicate (region, year, sector) key,
+        or nonpositive productivity.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
         if not path.exists():
             raise PanelDataError(f"input file not found: {path}")
-        with path.open(newline="", encoding="utf-8-sig") as handle:
+        with path.open(newline="", encoding="utf-8") as handle:
             return read_rows(handle)
 
     reader = csv.DictReader(source)
     header = reader.fieldnames
     if header is None:
         raise PanelDataError("empty file: header row required")
+    if header and header[0].startswith("\ufeff"):
+        header = reader.fieldnames = [header[0][1:], *header[1:]]
     missing = [column for column in REQUIRED_COLUMNS if column not in header]
     if missing:
         raise PanelDataError(f"header is missing required columns: {', '.join(missing)}")
@@ -135,19 +141,8 @@ def read_rows(source: str | Path | TextIO) -> list[PanelRow]:
     return rows
 
 
-def _select(
-    rows: Iterable[PanelRow],
-    sector: str,
-    start: int | None,
-    end: int | None,
-) -> list[PanelRow]:
-    return [
-        row
-        for row in rows
-        if row.sector == sector
-        and (start is None or row.year >= start)
-        and (end is None or row.year <= end)
-    ]
+def _in_window(year: int, start: int | None, end: int | None) -> bool:
+    return (start is None or year >= start) and (end is None or year <= end)
 
 
 def panel_from_rows(
@@ -159,7 +154,13 @@ def panel_from_rows(
     """Build a PanelDataset from parsed rows, restricted to one sector
     and an inclusive year window. NATIONAL rows are excluded (they only
     feed location-quotient totals)."""
-    selected = [row for row in _select(rows, sector, start, end) if row.region != NATIONAL_REGION]
+    selected = [
+        row
+        for row in rows
+        if row.sector == sector
+        and row.region != NATIONAL_REGION
+        and _in_window(row.year, start, end)
+    ]
     if not selected:
         raise PanelDataError(
             f"empty selection: no rows for sector {sector!r}"
@@ -272,27 +273,19 @@ def location_quotients_from_rows(
     the regions.
     """
     panel = panel_from_rows(rows, sector, start, end)
-    selected = _select(rows, sector, start, end)
-    window = [
-        row
-        for row in rows
-        if row.employment is not None
-        and (start is None or row.year >= start)
-        and (end is None or row.year <= end)
-    ]
     totals: dict[Cell, float] = {}
     national_total: dict[int, float] = {}
-    for row in window:
+    national_sector: dict[int, float] = {}
+    for row in rows:
+        if row.employment is None or not _in_window(row.year, start, end):
+            continue
         if row.region == NATIONAL_REGION:
             national_total[row.year] = national_total.get(row.year, 0.0) + row.employment
+            if row.sector == sector:
+                national_sector[row.year] = row.employment
         else:
             cell = (row.region, row.year)
             totals[cell] = totals.get(cell, 0.0) + row.employment
-    national_sector = {
-        row.year: row.employment
-        for row in selected
-        if row.region == NATIONAL_REGION and row.employment is not None
-    }
     return derive_location_quotients(
         panel,
         totals,

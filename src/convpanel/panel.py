@@ -8,7 +8,8 @@ the regression sample for the growth equation
 
 one row per region-transition between consecutive years, and the
 per-year cross-sectional dispersion of log productivity used for
-sigma-convergence.
+sigma-convergence. Both read the panel as one regions x periods array
+(NaN where a cell is absent), laid out by :func:`_grid`.
 """
 
 from __future__ import annotations
@@ -62,19 +63,23 @@ class PanelDataset:
             raise PanelDataError("panel needs at least 2 periods")
         if any(b <= a for a, b in zip(self.periods, self.periods[1:])):
             raise PanelDataError("periods must be strictly increasing")
-        grid = {(r, t) for r in self.regions for t in self.periods}
+        regions, periods = set(self.regions), set(self.periods)
         for cell, value in self.values.items():
-            if cell not in grid:
+            if cell[0] not in regions or cell[1] not in periods:
                 raise PanelDataError(f"value cell {cell} outside the region/period grid")
             if not (value > 0.0) or not math.isfinite(value):
                 raise PanelDataError(
                     f"output per worker must be positive and finite, got {value!r} at {cell}"
                 )
         for name, column in self.structural.items():
-            for cell in column:
-                if cell not in grid:
+            for cell, value in column.items():
+                if cell[0] not in regions or cell[1] not in periods:
                     raise PanelDataError(
                         f"structural cell {cell} of {name!r} outside the region/period grid"
+                    )
+                if not math.isfinite(value):
+                    raise PanelDataError(
+                        f"structural value {name!r} must be finite, got {value!r} at {cell}"
                     )
 
     @property
@@ -82,8 +87,16 @@ class PanelDataset:
         """Number of stored productivity cells (raw observation count)."""
         return len(self.values)
 
-    def log_value(self, region: str, year: int) -> float:
-        return math.log(self.values[(region, year)])
+
+def _grid(panel: PanelDataset, column: Mapping[Cell, float]) -> np.ndarray:
+    """``column`` as a regions x periods array, NaN where a cell is absent."""
+    row = {region: i for i, region in enumerate(panel.regions)}
+    col = {year: j for j, year in enumerate(panel.periods)}
+    width = len(panel.periods)
+    flat = [math.nan] * (len(row) * width)
+    for (region, year), value in column.items():
+        flat[row[region] * width + col[year]] = value
+    return np.array(flat).reshape(len(row), width)
 
 
 @dataclass(frozen=True)
@@ -148,10 +161,14 @@ class GrowthSample:
         if isinstance(self.rows, GrowthColumns) and self.rows.regions == self.regions:
             return
         index = {region: i for i, region in enumerate(self.regions)}
-        table = [
-            (index[row.region], row.year, row.y, row.x, *row.structural) for row in self.rows
-        ]
-        object.__setattr__(self, "rows", _columns(self.regions, table, len(self.structural_names)))
+        table = np.array(
+            [(index[row.region], row.year, row.y, row.x, *row.structural) for row in self.rows],
+            dtype=float,
+        ).reshape(len(self.rows), 4 + len(self.structural_names))
+        columns = GrowthColumns(
+            self.regions, table[:, 0].astype(np.intp), table[:, 1].astype(np.int64), table[:, 2:]
+        )
+        object.__setattr__(self, "rows", columns)
 
     @property
     def row_count(self) -> int:
@@ -196,13 +213,6 @@ class GrowthSample:
         return np.column_stack(sums) / counts[:, None]
 
 
-def _columns(regions: tuple[str, ...], table: list[tuple], width: int) -> GrowthColumns:
-    """Columns from (region code, year, y, x, *structural) row tuples."""
-    block = np.array(table, dtype=float).reshape(len(table), 4 + width)
-    code, year = block[:, 0].astype(np.intp), block[:, 1].astype(np.int64)
-    return GrowthColumns(regions, code, year, block[:, 2:])
-
-
 @dataclass(frozen=True)
 class SigmaSeries:
     """Per-year cross-sectional standard deviation of log productivity."""
@@ -241,48 +251,40 @@ def build_growth_sample(
         if name not in panel.structural:
             raise PanelDataError(f"panel has no structural variable {name!r}")
 
-    table: list[tuple] = []
-    contributing: list[str] = []
-    dropped = 0
-    for region in panel.regions:
-        n_before = len(table)
-        for prev, year in zip(panel.periods, panel.periods[1:]):
-            if year != prev + 1:
-                # gap in the period list: not an annual transition
-                continue
-            has_prev = (region, prev) in panel.values
-            has_cur = (region, year) in panel.values
-            if not (has_prev and has_cur):
-                if has_prev or has_cur:
-                    dropped += 1
-                continue
-            x = panel.log_value(region, prev)
-            y = panel.log_value(region, year) - x
-            extras = []
-            for name in names:
-                column = panel.structural[name]
-                if (region, prev) not in column:
-                    raise PanelDataError(
-                        f"missing structural value {name!r} for region {region!r} "
-                        f"at year {prev} (needed by the {prev}->{year} transition)"
-                    )
-                extras.append(column[(region, prev)])
-            table.append((len(contributing), year, y, x, *extras))
-        if len(table) > n_before:
-            contributing.append(region)
-
-    if not table:
+    logs = np.log(_grid(panel, panel.values))
+    present = ~np.isnan(logs)
+    periods = np.array(panel.periods)
+    annual = periods[1:] - periods[:-1] == 1
+    starts, ends = present[:, :-1] & annual, present[:, 1:] & annual
+    usable = starts & ends
+    region, step = usable.nonzero()
+    if not region.size:
         raise PanelDataError(
             f"no usable transitions in sector {panel.sector!r}: "
             "every consecutive-year pair is missing at least one endpoint"
         )
+    x = logs[region, step]
+    block = np.column_stack(
+        [logs[region, step + 1] - x, x]
+        + [_grid(panel, panel.structural[name])[region, step] for name in names]
+    )
+    if names and np.isnan(block[:, 2:]).any():
+        i, k = np.argwhere(np.isnan(block[:, 2:]))[0]
+        prev, year = panel.periods[step[i]], panel.periods[step[i] + 1]
+        raise PanelDataError(
+            f"missing structural value {names[k]!r} for region {panel.regions[region[i]]!r} "
+            f"at year {prev} (needed by the {prev}->{year} transition)"
+        )
+    has_rows = usable.any(axis=1)
+    contributing = tuple(r for r, keep in zip(panel.regions, has_rows.tolist()) if keep)
+    code = (np.cumsum(has_rows) - 1)[region]
     return GrowthSample(
-        rows=_columns(tuple(contributing), table, len(names)),
+        rows=GrowthColumns(contributing, code, periods[step + 1], block),
         structural_names=names,
-        regions=tuple(contributing),
+        regions=contributing,
         panel_regions=panel.regions,
         sector=panel.sector,
-        dropped_transitions=dropped,
+        dropped_transitions=int(np.count_nonzero(starts ^ ends)),
         source_cell_count=panel.cell_count,
     )
 
@@ -297,28 +299,22 @@ def sigma_dispersion(panel: PanelDataset) -> SigmaSeries:
     PanelDataError
         If no year has at least two regions present.
     """
-    years: list[int] = []
-    dispersion: list[float] = []
-    counts: list[int] = []
-    for year in panel.periods:
-        logs = [
-            math.log(panel.values[(region, year)])
-            for region in panel.regions
-            if (region, year) in panel.values
-        ]
-        n = len(logs)
-        if n < 2:
-            continue
-        mean = sum(logs) / n
-        var = sum((v - mean) ** 2 for v in logs) / (n - 1)
-        years.append(year)
-        dispersion.append(math.sqrt(var))
-        counts.append(n)
-    if not years:
+    logs = np.log(_grid(panel, panel.values))
+    present = ~np.isnan(logs)
+    counts = present.sum(axis=0)
+    keep = counts >= 2
+    if not keep.any():
         raise PanelDataError("sigma dispersion undefined: no year has >= 2 regions")
+    # Each sum runs down a whole column, adding a year's terms in region
+    # order; years with fewer than two regions divide by zero here and
+    # are dropped below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = np.where(present, logs, 0.0).sum(axis=0) / counts
+        deviations = np.where(present, logs - mean, 0.0)
+        sigma = np.sqrt((deviations**2).sum(axis=0) / (counts - 1))
     return SigmaSeries(
         sector=panel.sector,
-        years=tuple(years),
-        dispersion=tuple(dispersion),
-        region_counts=tuple(counts),
+        years=tuple(year for year, k in zip(panel.periods, keep.tolist()) if k),
+        dispersion=tuple(sigma[keep].tolist()),
+        region_counts=tuple(counts[keep].tolist()),
     )

@@ -52,14 +52,6 @@ class DesignMatrix:
             raise EstimationError("per-row region and year metadata must match row count")
         object.__setattr__(self, "values", matrix)
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class FitResult:

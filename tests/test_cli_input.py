@@ -1,11 +1,13 @@
-"""CLI input contract: byte-order marks, count flags, and one diagnostic
-per single-row region under --method all."""
+"""CLI input contract: byte-order marks, non-finite cells, count flags,
+and one diagnostic per single-row region under --method all."""
 
+import io
 import warnings
 
 import pytest
 
 from convpanel.cli import main
+from convpanel.io_report import read_rows
 
 CSV = (
     "region,year,sector,output_per_worker\n"
@@ -36,6 +38,50 @@ def test_byte_order_mark_is_skipped(tmp_path, capsys, fmt):
     assert code == 0
     code, out, err = run(capsys, *argv, "--input", str(marked))
     assert (code, out, err) == (0, expected, "")
+
+
+def test_byte_order_mark_is_skipped_in_a_stream():
+    assert read_rows(io.StringIO("\ufeff" + CSV)) == read_rows(io.StringIO(CSV))
+
+
+STRUCTURAL_CSV = (
+    "region,year,sector,output_per_worker,capital_output_ratio,employment\n"
+    "a,2000,x,100,1.5,40\na,2001,x,105,1.6,41\na,2002,x,102,1.4,42\n"
+    "b,2000,x,90,1.1,30\nb,2001,x,95,{capital},31\nb,2002,x,97,1.0,{employment}\n"
+    "c,2000,x,80,0.9,20\nc,2001,x,84,0.8,22\nc,2002,x,83,0.7,21\n"
+)
+
+
+@pytest.mark.parametrize(
+    "capital, employment, argv, message",
+    [
+        ("nan", "32", ("fit", "--conditional", "capital_output"), "line 6: capital_output_ratio"),
+        ("-inf", "32", ("fit", "--conditional", "capital_output"), "line 6: capital_output_ratio"),
+        ("1.2", "inf", ("lq",), "line 7: employment"),
+        ("1.2", "NaN", ("lq",), "line 7: employment"),
+    ],
+)
+def test_non_finite_cell_is_a_data_error(tmp_path, capsys, capital, employment, argv, message):
+    path = tmp_path / "panel.csv"
+    path.write_text(STRUCTURAL_CSV.format(capital=capital, employment=employment), encoding="utf-8")
+    code, out, err = run(capsys, *argv, "--input", str(path), "--sector", "x")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith(f"convpanel: data error: {message} must be finite")
+
+
+@pytest.mark.parametrize("argv", [("lq",), ("fit", "--conditional", "location_quotient")])
+def test_location_quotient_out_of_range_is_a_data_error(tmp_path, capsys, argv):
+    path = tmp_path / "panel.csv"
+    path.write_text(
+        "region,year,sector,output_per_worker,employment\n"
+        "a,2000,x,100,5e-324\na,2001,x,105,5e-324\nb,2000,x,90,1e308\nb,2001,x,95,1e308\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, *argv, "--input", str(path), "--sector", "x")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith("convpanel: data error: location quotient out of floating-point range")
 
 
 @pytest.mark.parametrize(
