@@ -6,7 +6,9 @@ Input files are long-format CSV, one row per (region, year, sector):
         [,goods_flow_output_ratio][,employment]
 
 UTF-8 (a byte-order mark is skipped), comma delimited, decimal point;
-numeric cells must be finite. A pseudo-region ``NATIONAL`` may carry
+numeric cells must be finite. The whole file, every sector, is read
+once into columns and validated in one columnar pass; the first bad
+row, by line, is reported. A pseudo-region ``NATIONAL`` may carry
 national employment totals for location-quotient construction; it
 never enters estimation. Reports render one row per method (Pooling,
 LSDV, GLS), estimates printed to 3 decimals (ties away from zero) with
@@ -16,14 +18,18 @@ the JSON format keeps full precision.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import compress
 from pathlib import Path
-from typing import Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence, TextIO
+
+import numpy as np
 
 from .convergence import ConvergenceReport, LocationQuotientInputs, location_quotient
 from .errors import PanelDataError
@@ -34,6 +40,12 @@ NATIONAL_REGION = "NATIONAL"
 
 REQUIRED_COLUMNS = ("region", "year", "sector", "output_per_worker")
 OPTIONAL_COLUMNS = ("capital_output_ratio", "goods_flow_output_ratio", "employment")
+COLUMNS = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
+# in the order a row's cells are checked
+NUMERIC_COLUMNS = (
+    "output_per_worker", "employment", "capital_output_ratio", "goods_flow_output_ratio"
+)
+POSITIVE_COLUMNS = ("output_per_worker", "employment")
 
 METHOD_TITLES = {"pooled": "Pooling", "lsdv": "LSDV", "gls": "GLS"}
 METHOD_ORDER = ("pooled", "lsdv", "gls")
@@ -55,27 +67,46 @@ class PanelRow:
     line: int
 
 
-def _parse_optional(raw: str | None, column: str, line: int) -> float | None:
-    if raw is None or raw.strip() == "":
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise PanelDataError(f"line {line}: cannot parse {column} value {raw!r}") from None
-    if not math.isfinite(value):
-        raise PanelDataError(f"line {line}: {column} must be finite, got {raw.strip()!r}")
-    return value
+@dataclass(frozen=True, eq=False)
+class PanelRows(Sequence[PanelRow]):
+    """Validated CSV rows stored as columns, in file order: one entry per
+    row in ``region``, ``year``, ``sector`` and ``line``, and one row per
+    column of ``NUMERIC_COLUMNS`` in ``numbers``, NaN where a cell is
+    empty. Indexing builds :class:`PanelRow` objects on demand; tables
+    compare equal when their rows do."""
+
+    region: Sequence[str]
+    year: Sequence[int]
+    sector: Sequence[str]
+    numbers: np.ndarray
+    line: Sequence[int]
+
+    def __len__(self) -> int:
+        return len(self.line)
+
+    def __getitem__(self, i: int) -> PanelRow:
+        numbers = [None if math.isnan(v) else v for v in self.numbers[:, i].tolist()]
+        cells = dict(zip(NUMERIC_COLUMNS, numbers))
+        return PanelRow(self.region[i], self.year[i], self.sector[i], line=self.line[i], **cells)
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
 
 
-def read_rows(source: str | Path | TextIO) -> list[PanelRow]:
+def read_rows(source: str | Path | TextIO) -> PanelRows:
     """Parse and validate every row of a long-format panel CSV.
+
+    The text is read once into columns and each check runs over whole
+    columns. A file with several bad rows is reported by the first, with
+    the message of the first check it fails, in the order of
+    ``_reject_row``.
 
     Raises
     ------
     PanelDataError
         On a missing header column, an unparsable or non-finite cell
         (with its line number), a duplicate (region, year, sector) key,
-        or nonpositive productivity.
+        nonpositive productivity or employment, or unreadable text.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -84,69 +115,118 @@ def read_rows(source: str | Path | TextIO) -> list[PanelRow]:
         with path.open(newline="", encoding="utf-8") as handle:
             return read_rows(handle)
 
-    reader = csv.DictReader(source)
-    header = reader.fieldnames
-    if header is None:
+    reader = csv.reader(source)
+    # records are kept as tuples: the garbage collector stops tracking a
+    # tuple of strings, so a long file does not make it scan every record
+    records: list[tuple[str, ...]] = []
+    lines: list[int] = []  # the reader's line count after each record
+    try:  # list.extend keeps what was read before the reader raised
+        lines.extend(reader.line_num for _ in map(records.append, map(tuple, reader)))
+    except (csv.Error, UnicodeDecodeError) as error:
+        if records:
+            _columns(records, lines)  # a bad row read before the failure is reported first
+        last = lines[-1] if lines else 0
+        raise PanelDataError(f"cannot read CSV after line {last}: {error}") from None
+    if not records:
         raise PanelDataError("empty file: header row required")
+    return _columns(records, lines)
+
+
+def _columns(records: list[tuple[str, ...]], lines: list[int]) -> PanelRows:
+    """Validate parsed CSV records (header first) and store them as columns."""
+    header = records[0]
     if header and header[0].startswith("\ufeff"):
-        header = reader.fieldnames = [header[0][1:], *header[1:]]
+        header = [header[0][1:], *header[1:]]
     missing = [column for column in REQUIRED_COLUMNS if column not in header]
     if missing:
         raise PanelDataError(f"header is missing required columns: {', '.join(missing)}")
+    index = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+    body, line = records[1:], lines[1:]
+    if () in body:  # blank lines hold no row
+        body, line = list(compress(body, body)), list(compress(line, body))
+    width = 1 + max(index[name] for name in COLUMNS if name in index)
+    if body and min(map(len, body)) < width:  # a short row's last cells are empty
+        body = [row + ("",) * (width - len(row)) for row in body]
+    table, n = list(zip(*body)) or [()] * width, len(body)
 
-    rows: list[PanelRow] = []
-    seen: dict[tuple[str, int, str], int] = {}
-    for record in reader:
-        line = reader.line_num
-        region = (record.get("region") or "").strip()
-        sector = (record.get("sector") or "").strip()
-        if not region or not sector:
-            raise PanelDataError(f"line {line}: region and sector must be nonempty")
-        raw_year = (record.get("year") or "").strip()
-        try:
-            year = int(raw_year)
-        except ValueError:
-            raise PanelDataError(f"line {line}: cannot parse year {raw_year!r}") from None
+    def cells(name: str) -> Sequence[str]:
+        return table[index[name]] if name in index else ("",) * n
 
-        key = (region, year, sector)
-        if key in seen:
-            raise PanelDataError(
-                f"line {line}: duplicate (region, year, sector) key {key}, "
-                f"first seen on line {seen[key]}"
-            )
-        seen[key] = line
+    region, sector = (list(map(str.strip, cells(name))) for name in ("region", "sector"))
+    year = _parsed(int, map(str.strip, cells("year")))
+    numbers, failing = zip(*(_numbers(cells(c), c in POSITIVE_COLUMNS) for c in NUMERIC_COLUMNS))
+    first = min(len(year), *failing, *(col.index("") for col in (region, sector) if "" in col))
+    keys = list(zip(region, year, sector))[: first + 1]
+    if first < n or len(set(keys)) < len(keys):
+        earliest = dict(zip(reversed(keys), reversed(range(len(keys)))))  # key -> its first row
+        row = next((i for i, key in enumerate(keys) if earliest[key] != i), first)
+        seen = earliest[keys[row]] if row < len(keys) else row
+        bad = {name: cells(name)[row] for name in COLUMNS}
+        _reject_row(bad, line[row], line[seen] if seen != row else None)
+    return PanelRows(region, year, sector, np.array(numbers), line)
 
-        value = _parse_optional(record.get("output_per_worker"), "output_per_worker", line)
-        if value is not None and value <= 0.0:
-            raise PanelDataError(f"line {line}: output_per_worker must be positive, got {value}")
-        employment = _parse_optional(record.get("employment"), "employment", line)
-        if employment is not None and employment <= 0.0:
-            raise PanelDataError(f"line {line}: employment must be positive, got {employment}")
-        rows.append(
-            PanelRow(
-                region=region,
-                year=year,
-                sector=sector,
-                output_per_worker=value,
-                capital_output_ratio=_parse_optional(
-                    record.get("capital_output_ratio"), "capital_output_ratio", line
-                ),
-                goods_flow_output_ratio=_parse_optional(
-                    record.get("goods_flow_output_ratio"), "goods_flow_output_ratio", line
-                ),
-                employment=employment,
-                line=line,
-            )
+
+def _parsed(parse, cells: Iterable[str]) -> list:
+    """``parse`` of each cell, up to the first one it rejects with ValueError."""
+    values: list = []
+    with contextlib.suppress(ValueError):
+        values.extend(map(parse, cells))  # keeps the values parsed before the failure
+    return values
+
+
+def _numbers(cells: Sequence[str], positive: bool) -> tuple[np.ndarray, int]:
+    """A numeric column as floats, NaN where a cell is blank, and the index
+    of its first cell that is not a finite (if ``positive``, positive)
+    number, or ``len(cells)``."""
+    values = np.full(len(cells), math.nan)
+    if cells.count("") == len(cells):  # an empty column, or one the header lacks
+        return values, len(cells)
+    filled = list(map(bool, map(str.strip, cells)))
+    parsed = _parsed(float, compress(cells, filled))
+    values[np.flatnonzero(filled)[: len(parsed)]] = parsed
+    failing = np.array(filled, dtype=bool) & ~np.isfinite(values)
+    if positive:
+        failing |= values <= 0.0
+    return values, int(failing.argmax()) if failing.any() else len(cells)
+
+
+def _reject_row(cells: Mapping[str, str], line: int, first_seen: int | None) -> None:
+    """Raise the error of the first check a bad row fails: nonempty region
+    and sector, year, unique key (``first_seen`` is the line of an earlier
+    row with this key), then each number in ``NUMERIC_COLUMNS``."""
+    region, sector, raw_year = (cells[name].strip() for name in ("region", "sector", "year"))
+    if not region or not sector:
+        raise PanelDataError(f"line {line}: region and sector must be nonempty")
+    try:
+        year = int(raw_year)
+    except ValueError:
+        raise PanelDataError(f"line {line}: cannot parse year {raw_year!r}") from None
+    if first_seen is not None:
+        raise PanelDataError(
+            f"line {line}: duplicate (region, year, sector) key {(region, year, sector)}, "
+            f"first seen on line {first_seen}"
         )
-    return rows
+    for name in NUMERIC_COLUMNS:
+        raw = cells[name]
+        if not raw.strip():
+            continue
+        try:
+            value = float(raw)
+        except ValueError:
+            raise PanelDataError(f"line {line}: cannot parse {name} value {raw!r}") from None
+        if not math.isfinite(value):
+            raise PanelDataError(f"line {line}: {name} must be finite, got {raw.strip()!r}")
+        if name in POSITIVE_COLUMNS and value <= 0.0:
+            raise PanelDataError(f"line {line}: {name} must be positive, got {value}")
 
 
-def _in_window(year: int, start: int | None, end: int | None) -> bool:
-    return (start is None or year >= start) and (end is None or year <= end)
+def _window(start: int | None, end: int | None) -> tuple[float, float]:
+    """Inclusive year bounds, infinite where a side is open."""
+    return (-math.inf if start is None else start, math.inf if end is None else end)
 
 
 def panel_from_rows(
-    rows: Sequence[PanelRow],
+    rows: PanelRows,
     sector: str,
     start: int | None = None,
     end: int | None = None,
@@ -154,36 +234,28 @@ def panel_from_rows(
     """Build a PanelDataset from parsed rows, restricted to one sector
     and an inclusive year window. NATIONAL rows are excluded (they only
     feed location-quotient totals)."""
-    selected = [
-        row
-        for row in rows
-        if row.sector == sector
-        and row.region != NATIONAL_REGION
-        and _in_window(row.year, start, end)
+    lo, hi = _window(start, end)
+    keep = [
+        row_sector == sector and region != NATIONAL_REGION and lo <= year <= hi
+        for region, year, row_sector in zip(rows.region, rows.year, rows.sector)
     ]
-    if not selected:
+    if not any(keep):
         raise PanelDataError(
             f"empty selection: no rows for sector {sector!r}"
             + (f" in {start}-{end}" if start is not None or end is not None else "")
         )
-    regions = tuple(sorted({row.region for row in selected}))
-    periods = tuple(sorted({row.year for row in selected}))
-    values: dict[Cell, float] = {}
-    structural: dict[str, dict[Cell, float]] = {}
-    for row in selected:
-        cell = (row.region, row.year)
-        if row.output_per_worker is not None:
-            values[cell] = row.output_per_worker
-        for name in OPTIONAL_COLUMNS:
-            field = getattr(row, name)
-            if field is not None:
-                structural.setdefault(name, {})[cell] = field
+    cells = list(zip(compress(rows.region, keep), compress(rows.year, keep)))
+    columns = {}
+    for name, column in zip(NUMERIC_COLUMNS, rows.numbers[:, np.array(keep)]):
+        filled = (~np.isnan(column)).tolist()
+        if any(filled):
+            columns[name] = dict(compress(zip(cells, column.tolist()), filled))
     return PanelDataset(
-        regions=regions,
-        periods=periods,
+        regions=tuple(sorted(set(compress(rows.region, keep)))),
+        periods=tuple(sorted(set(compress(rows.year, keep)))),
         sector=sector,
-        values=values,
-        structural=structural,
+        values=columns.pop("output_per_worker", {}),
+        structural=columns,
     )
 
 
@@ -223,9 +295,13 @@ def derive_location_quotients(
             "location quotients need employment data"
         )
 
-    def _year_sum(column: Mapping[Cell, float], year: int) -> float:
-        return sum(column[(r, year)] for r in panel.regions if (r, year) in column)
+    def year_sums(column: Mapping[Cell, float]) -> dict[int, float]:
+        return {
+            year: sum(column[(r, year)] for r in panel.regions if (r, year) in column)
+            for year in panel.periods
+        }
 
+    sector_sums, total_sums = year_sums(sector_emp), year_sums(total_employment)
     quotients: dict[Cell, float] = {}
     for cell in sorted(panel.values):
         region, year = cell
@@ -239,12 +315,12 @@ def derive_location_quotients(
         nat_sector = (
             national_sector[year]
             if national_sector is not None and year in national_sector
-            else _year_sum(sector_emp, year)
+            else sector_sums[year]
         )
         nat_total = (
             national_total[year]
             if national_total is not None and year in national_total
-            else _year_sum(total_employment, year)
+            else total_sums[year]
         )
         quotients[cell] = location_quotient(
             LocationQuotientInputs(
@@ -260,7 +336,7 @@ def derive_location_quotients(
 
 
 def location_quotients_from_rows(
-    rows: Sequence[PanelRow],
+    rows: PanelRows,
     sector: str,
     start: int | None = None,
     end: int | None = None,
@@ -273,19 +349,20 @@ def location_quotients_from_rows(
     the regions.
     """
     panel = panel_from_rows(rows, sector, start, end)
+    employment = rows.numbers[NUMERIC_COLUMNS.index("employment")].tolist()
+    lo, hi = _window(start, end)
     totals: dict[Cell, float] = {}
     national_total: dict[int, float] = {}
     national_sector: dict[int, float] = {}
-    for row in rows:
-        if row.employment is None or not _in_window(row.year, start, end):
+    for region, year, row_sector, count in zip(rows.region, rows.year, rows.sector, employment):
+        if math.isnan(count) or not lo <= year <= hi:
             continue
-        if row.region == NATIONAL_REGION:
-            national_total[row.year] = national_total.get(row.year, 0.0) + row.employment
-            if row.sector == sector:
-                national_sector[row.year] = row.employment
+        if region == NATIONAL_REGION:
+            national_total[year] = national_total.get(year, 0.0) + count
+            if row_sector == sector:
+                national_sector[year] = count
         else:
-            cell = (row.region, row.year)
-            totals[cell] = totals.get(cell, 0.0) + row.employment
+            totals[(region, year)] = totals.get((region, year), 0.0) + count
     return derive_location_quotients(
         panel,
         totals,
@@ -471,7 +548,17 @@ def _report_json(ordered: Sequence[ConvergenceReport]) -> str:
             "dropped_transitions": report.dropped_transitions,
         }
         payload["rows"].append(row)
-    return json.dumps(payload, indent=2) + "\n"
+    return _json(payload)
+
+
+def _json(payload) -> str:
+    """Strict JSON text: a non-finite number (a t-ratio from a zero
+    standard error, say) is written as null."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # raised for a non-finite number
+        finite = json.loads(json.dumps(payload), parse_constant=lambda name: None)
+        return json.dumps(finite, indent=2, allow_nan=False) + "\n"
 
 
 def render_sigma(series: SigmaSeries, fmt: str = "md") -> str:
@@ -484,7 +571,7 @@ def render_sigma(series: SigmaSeries, fmt: str = "md") -> str:
                 for year, sigma, count in zip(series.years, series.dispersion, series.region_counts)
             ],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload)
     header = ["Year", "Regions", "Sigma"]
     rows = [
         [str(year), str(count), f"{sigma:.6f}"]
@@ -510,7 +597,7 @@ def render_location_quotients(
                 for region, year in cells
             ],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload)
     header = ["Region", "Year", "LQ"]
     rows = [[region, str(year), f"{quotients[(region, year)]:.6f}"] for region, year in cells]
     return _table(header, rows, fmt)
@@ -533,7 +620,7 @@ def render_recovery(stats: RecoveryStats, fmt: str = "md") -> str:
                 for method in stats.methods
             ],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload)
     header = ["Method", "Mean b", "Bias", "SD", "Coverage95"]
     rows = [
         [

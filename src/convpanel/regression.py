@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -212,12 +213,15 @@ def durbin_watson(
     return float(steps @ steps) / denominator
 
 
+@lru_cache(maxsize=256)
 def t_critical(df: int, level: float = 0.05) -> float:
     """Two-tailed Student-t critical value.
 
     Solves P(|T_df| >= t) = level by inverting the regularized
     incomplete beta function: with x = I^{-1}(level; df/2, 1/2) the
     critical value is sqrt(df (1-x)/x). Accurate to well below 1e-6.
+    Values are cached by (df, level): every coefficient of a fit, and
+    every replication of a Monte Carlo run, asks for the same few.
     """
     if df < 1:
         raise EstimationError(f"degrees of freedom must be >= 1, got {df}")

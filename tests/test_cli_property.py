@@ -2,7 +2,8 @@
 
 ``main()`` runs ``fit``, ``sigma`` and ``lq`` on generated long-format
 CSV text (ragged panels, duplicate keys, empty, unparsable, zero,
-negative and non-finite cells, NATIONAL rows, a byte-order mark). The
+negative and non-finite cells, NATIONAL rows, a byte-order mark, blank
+lines, quoted cells spanning two lines and short rows). The
 exit code is 0, 2 or 3; no exception escapes; a nonzero exit writes
 exactly one stderr line, starting with ``convpanel:``. Warnings are
 recorded apart: they are not a failed run's diagnostic.
@@ -54,8 +55,18 @@ def panels(draw):
     for _ in range(draw(st.integers(0, 2)) if rows else 0):
         row = draw(st.sampled_from(rows))
         row[draw(st.integers(3, len(columns) - 1))] = draw(st.sampled_from(BAD_CELLS))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        i = draw(st.integers(0, len(row) - 1))
+        row[i] = '"' + row[i] + '\n"'  # a quoted cell spanning two lines
+    if rows and draw(st.integers(0, 4)) == 0:
+        row = draw(st.sampled_from(rows))
+        del row[draw(st.integers(1, len(row) - 1)):]  # a short row
+    lines = [",".join(row) for row in [columns] + rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), "")  # a blank line
     bom = "\ufeff" if draw(st.booleans()) else ""
-    return bom + "\n".join(",".join(row) for row in [columns] + rows) + "\n"
+    return bom + "\n".join(lines) + "\n"
 
 
 commands = st.one_of(
@@ -90,10 +101,28 @@ INF_EMPLOYMENT = (
 )
 
 
+# Inputs that move a row's line number or leave its last cells empty.
+BLANK_LINES = (
+    "region,year,sector,output_per_worker\n\na,2000,s,100\na,2001,s,105\na,2002,s,103\n"
+    "\n\nb,2000,s,90\nb,2001,s,95\nb,2002,s,0\n"
+)
+MULTI_LINE_CELLS = (
+    'region,year,sector,output_per_worker\n"a\n",2000,s,100\na,2001,s,"105\n"\n'
+    "a,2002,s,103\nb,2000,s,90\nb,2001,s,95\nb,2002,s,x\n"
+)
+SHORT_ROW = (
+    "region,year,sector,output_per_worker,employment\n"
+    "a,2000,s,100,5\na,2001,s\nb,2000,s,90,4\nb,2001,s,95,4\n"
+)
+
+
 @settings(max_examples=100, deadline=None)
 @example(NAN_CAPITAL, ("fit", "--method=all", "--conditional=capital_output"), (), "md")
 @example(INF_EMPLOYMENT, ("lq",), (), "md")
 @example(SUBNORMAL_EMPLOYMENT, ("lq",), (), "json")
+@example(BLANK_LINES, ("fit", "--method=all", "--conditional="), (), "md")
+@example(MULTI_LINE_CELLS, ("sigma",), (), "tsv")
+@example(SHORT_ROW, ("lq",), (), "json")
 @given(
     text=panels(),
     command=commands,

@@ -1,0 +1,410 @@
+"""Columnar CSV ingestion against the row-by-row reader it replaced.
+
+The oracle below is the ``csv.DictReader`` loop that ``read_rows`` ran
+before it parsed whole columns, with the row selection and location
+quotient construction of that time. On seeded random CSV texts (blank
+lines, quoted multi-line cells, short and long rows, padded cells,
+repeated header names, a byte-order mark, missing columns and several
+bad cells at once) both must give the same rows, the same panel for
+every sector and window, the same location quotients, and the same
+error message with the same line number.
+"""
+
+import csv
+import io
+import json
+import math
+import random
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from convpanel.cli import main
+from convpanel.convergence import LocationQuotientInputs, location_quotient, report_from_fit
+from convpanel.errors import PanelDataError
+from convpanel.estimators import ModelSpec
+from convpanel.io_report import (
+    NATIONAL_REGION,
+    OPTIONAL_COLUMNS,
+    REQUIRED_COLUMNS,
+    PanelRow,
+    location_quotients_from_rows,
+    panel_from_rows,
+    read_rows,
+    render_report,
+)
+from convpanel.panel import GrowthSample, PanelDataset
+from convpanel.regression import FitResult
+
+# ---------------------------------------------------------------------------
+# oracle: the row-by-row reader, selection and location quotients
+
+
+def _parse_optional(raw, column, line):
+    if raw is None or raw.strip() == "":
+        return None
+    try:
+        value = float(raw)
+    except ValueError:
+        raise PanelDataError(f"line {line}: cannot parse {column} value {raw!r}") from None
+    if not math.isfinite(value):
+        raise PanelDataError(f"line {line}: {column} must be finite, got {raw.strip()!r}")
+    return value
+
+
+def oracle_read_rows(source):
+    if isinstance(source, (str, Path)):
+        with Path(source).open(newline="", encoding="utf-8") as handle:
+            return oracle_read_rows(handle)
+    reader = csv.DictReader(source)
+    header = reader.fieldnames
+    if header is None:
+        raise PanelDataError("empty file: header row required")
+    if header and header[0].startswith("\ufeff"):
+        header = reader.fieldnames = [header[0][1:], *header[1:]]
+    missing = [column for column in REQUIRED_COLUMNS if column not in header]
+    if missing:
+        raise PanelDataError(f"header is missing required columns: {', '.join(missing)}")
+    rows = []
+    seen = {}
+    for record in reader:
+        line = reader.line_num
+        region = (record.get("region") or "").strip()
+        sector = (record.get("sector") or "").strip()
+        if not region or not sector:
+            raise PanelDataError(f"line {line}: region and sector must be nonempty")
+        raw_year = (record.get("year") or "").strip()
+        try:
+            year = int(raw_year)
+        except ValueError:
+            raise PanelDataError(f"line {line}: cannot parse year {raw_year!r}") from None
+        key = (region, year, sector)
+        if key in seen:
+            raise PanelDataError(
+                f"line {line}: duplicate (region, year, sector) key {key}, "
+                f"first seen on line {seen[key]}"
+            )
+        seen[key] = line
+        value = _parse_optional(record.get("output_per_worker"), "output_per_worker", line)
+        if value is not None and value <= 0.0:
+            raise PanelDataError(f"line {line}: output_per_worker must be positive, got {value}")
+        employment = _parse_optional(record.get("employment"), "employment", line)
+        if employment is not None and employment <= 0.0:
+            raise PanelDataError(f"line {line}: employment must be positive, got {employment}")
+        rows.append(
+            PanelRow(
+                region=region,
+                year=year,
+                sector=sector,
+                output_per_worker=value,
+                capital_output_ratio=_parse_optional(
+                    record.get("capital_output_ratio"), "capital_output_ratio", line
+                ),
+                goods_flow_output_ratio=_parse_optional(
+                    record.get("goods_flow_output_ratio"), "goods_flow_output_ratio", line
+                ),
+                employment=employment,
+                line=line,
+            )
+        )
+    return rows
+
+
+def _in_window(year, start, end):
+    return (start is None or year >= start) and (end is None or year <= end)
+
+
+def oracle_panel(rows, sector, start=None, end=None):
+    selected = [
+        row
+        for row in rows
+        if row.sector == sector
+        and row.region != NATIONAL_REGION
+        and _in_window(row.year, start, end)
+    ]
+    if not selected:
+        raise PanelDataError(
+            f"empty selection: no rows for sector {sector!r}"
+            + (f" in {start}-{end}" if start is not None or end is not None else "")
+        )
+    values, structural = {}, {}
+    for row in selected:
+        cell = (row.region, row.year)
+        if row.output_per_worker is not None:
+            values[cell] = row.output_per_worker
+        for name in OPTIONAL_COLUMNS:
+            if getattr(row, name) is not None:
+                structural.setdefault(name, {})[cell] = getattr(row, name)
+    return PanelDataset(
+        regions=tuple(sorted({row.region for row in selected})),
+        periods=tuple(sorted({row.year for row in selected})),
+        sector=sector,
+        values=values,
+        structural=structural,
+    )
+
+
+def oracle_derive(panel, total_employment, national_sector=None, national_total=None):
+    sector_emp = panel.structural.get("employment")
+    if not sector_emp:
+        raise PanelDataError(
+            f"panel for sector {panel.sector!r} has no employment column; "
+            "location quotients need employment data"
+        )
+
+    def year_sum(column, year):
+        return sum(column[(r, year)] for r in panel.regions if (r, year) in column)
+
+    quotients = {}
+    for cell in sorted(panel.values):
+        region, year = cell
+        if cell not in sector_emp:
+            raise PanelDataError(
+                f"missing employment for region {region!r}, year {year}, "
+                f"sector {panel.sector!r}"
+            )
+        if cell not in total_employment:
+            raise PanelDataError(f"missing total employment for region {region!r}, year {year}")
+        nat_sector = (
+            national_sector[year]
+            if national_sector is not None and year in national_sector
+            else year_sum(sector_emp, year)
+        )
+        nat_total = (
+            national_total[year]
+            if national_total is not None and year in national_total
+            else year_sum(total_employment, year)
+        )
+        quotients[cell] = location_quotient(
+            LocationQuotientInputs(
+                regional_sector=sector_emp[cell],
+                national_sector=nat_sector,
+                regional_total=total_employment[cell],
+                national_total=nat_total,
+            )
+        )
+    structural = dict(panel.structural)
+    structural["location_quotient"] = quotients
+    return PanelDataset(panel.regions, panel.periods, panel.sector, panel.values, structural)
+
+
+def oracle_lq(rows, sector, start=None, end=None):
+    panel = oracle_panel(rows, sector, start, end)
+    totals, national_total, national_sector = {}, {}, {}
+    for row in rows:
+        if row.employment is None or not _in_window(row.year, start, end):
+            continue
+        if row.region == NATIONAL_REGION:
+            national_total[row.year] = national_total.get(row.year, 0.0) + row.employment
+            if row.sector == sector:
+                national_sector[row.year] = row.employment
+        else:
+            cell = (row.region, row.year)
+            totals[cell] = totals.get(cell, 0.0) + row.employment
+    return oracle_derive(
+        panel, totals, national_sector=national_sector or None,
+        national_total=national_total or None,
+    )
+
+
+# ---------------------------------------------------------------------------
+# random CSV texts
+
+REGIONS = ["a", "b", "c", " d", "NATIONAL", "e\nf"]
+SECTORS = ["s", "t"]
+NUMERIC = ("output_per_worker",) + OPTIONAL_COLUMNS
+BAD_NUMBERS = ["x", "nan", "inf", "-inf", "1e999", "0", "-2", "1.5.1", "\x1c", " "]
+BAD_YEARS = ["20x1", "", "\x1c2001", "2001.0", "2_001", " 2001\n"]
+
+
+def number(rng):
+    kind = rng.random()
+    if kind < 0.05:
+        return ""
+    if kind < 0.08:
+        return rng.choice([" ", "\t", " 1.5 ", "1.25\n", "\u30002.5"])
+    return repr(rng.uniform(0.5, 300.0))
+
+
+def quoted(rng, text):
+    if any(char in text for char in ',"\r\n') or rng.random() < 0.08:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def random_csv(rng):
+    header = list(REQUIRED_COLUMNS) + [c for c in OPTIONAL_COLUMNS if rng.random() < 0.6]
+    rng.shuffle(header)
+    if rng.random() < 0.04:
+        header.remove(rng.choice(REQUIRED_COLUMNS))
+    if rng.random() < 0.15:
+        header.append(rng.choice(header))  # a repeated name: its last column counts
+    if rng.random() < 0.1:
+        header.insert(rng.randrange(len(header) + 1), "note")
+
+    keys = [
+        (region, year, sector)
+        for region in rng.sample(REGIONS, rng.randint(1, len(REGIONS)))
+        for year in range(2000, 2000 + rng.randint(1, 5))
+        for sector in rng.sample(SECTORS, rng.randint(1, 2))
+        if rng.random() < 0.8
+    ]
+    rng.shuffle(keys)
+    if keys and rng.random() < 0.1:
+        keys.insert(rng.randrange(len(keys) + 1), rng.choice(keys))
+    rows = []
+    for region, year, sector in keys:
+        padded = rng.random() < 0.05
+        row = {"region": region, "sector": f" {sector} " if padded else sector, "note": "n, \"q\""}
+        row["year"] = str(year)
+        if rng.random() < 0.1:
+            row["year"] = rng.choice([f" {year} ", f"0{year}"])
+        for name in NUMERIC:
+            row[name] = number(rng)
+        rows.append(row)
+    row = rng.choice(rows) if rows else None
+    for _ in range(rng.choice([0, 0, 0, 1, 2, 3]) if rows else 0):
+        if rng.random() < 0.5:
+            row = rng.choice(rows)  # else one more bad cell in the same row
+        name = rng.choice(header)
+        if name in ("region", "sector"):
+            row[name] = rng.choice(["", "  "])
+        elif name == "year":
+            row[name] = rng.choice(BAD_YEARS)
+        else:
+            row[name] = rng.choice(BAD_NUMBERS)
+    if rows and rng.random() < 0.1:  # a row whose every number is bad
+        row = rng.choice(rows)
+        row.update((name, rng.choice(BAD_NUMBERS[:-2])) for name in NUMERIC)
+
+    last = {name: i for i, name in enumerate(header)}
+    newline = rng.choice(["\n", "\r\n"])
+    lines = [",".join(quoted(rng, name) for name in header)]
+    short = rng.randrange(len(rows)) if rows and rng.random() < 0.15 else -1
+    for i, row in enumerate(rows):
+        cells = [row.get(name, "") if last[name] == j else "zz" for j, name in enumerate(header)]
+        if i == short:
+            cells = cells[: rng.randrange(len(cells))]  # a short row
+        elif rng.random() < 0.02:
+            cells += ["extra", "1"]  # long row
+        while rng.random() < 0.03:
+            lines.append("")  # blank line
+        lines.append(",".join(quoted(rng, cell) for cell in cells))
+    text = newline.join(lines) + (newline if rng.random() < 0.9 else "")
+    return ("\ufeff" if rng.random() < 0.1 else "") + text
+
+
+def outcome(func, *args):
+    try:
+        return func(*args)
+    except PanelDataError as error:
+        return f"error: {error}"
+
+
+WINDOWS = [(None, None), (2001, None), (None, 2002), (2001, 2003)]
+
+
+def test_columnar_reader_matches_the_row_reader(tmp_path):
+    rng = random.Random(20111)
+    path = tmp_path / "panel.csv"
+    compared = {"rows": 0, "errors": 0, "panels": 0, "lq": 0}
+    for case in range(1000):
+        text = random_csv(rng)
+        if case % 10 == 0:
+            path.write_text(text, encoding="utf-8", newline="")
+            new, old = outcome(read_rows, path), outcome(oracle_read_rows, path)
+        else:
+            new = outcome(read_rows, io.StringIO(text))
+            old = outcome(oracle_read_rows, io.StringIO(text))
+        assert isinstance(new, str) == isinstance(old, str), (text, new, old)
+        assert new == old, text
+        if isinstance(old, str):
+            compared["errors"] += 1
+            continue
+        compared["rows"] += len(old)
+        for sector in ("s", "t", "u"):
+            for start, end in WINDOWS:
+                panel = outcome(panel_from_rows, new, sector, start, end)
+                assert panel == outcome(oracle_panel, old, sector, start, end), text
+                compared["panels"] += not isinstance(panel, str)
+                lq = outcome(location_quotients_from_rows, new, sector, start, end)
+                assert lq == outcome(oracle_lq, old, sector, start, end), text
+                compared["lq"] += not isinstance(lq, str)
+    # the generator reaches every branch it is meant to
+    assert min(compared.values()) > 100, compared
+
+
+def test_rows_read_back_as_panel_rows():
+    text = "region,year,sector,output_per_worker\na,2000,s,1.5\nb,2001,s,\n"
+    rows = read_rows(io.StringIO(text))
+    assert len(rows) == 2
+    assert rows[1] == PanelRow("b", 2001, "s", None, None, None, None, 3)
+    assert list(rows) == oracle_read_rows(io.StringIO(text))
+
+
+def test_lq_totals_are_linear_and_exact():
+    # 400 regions x 10 years x 2 sectors without NATIONAL rows: the
+    # national figures are sums over regions, once per year
+    rng = np.random.default_rng(7)
+    lines = ["region,year,sector,output_per_worker,employment"]
+    for region in range(400):
+        for year in range(2000, 2010):
+            for sector in ("s", "t"):
+                value, count = rng.uniform(1, 100), rng.uniform(10, 1e4)
+                lines.append(f"r{region:03d},{year},{sector},{value!r},{count!r}")
+    text = "\n".join(lines) + "\n"
+    rows = read_rows(io.StringIO(text))
+    start = time.perf_counter()
+    panel = location_quotients_from_rows(rows, "s")
+    elapsed = time.perf_counter() - start
+    expected = oracle_lq(oracle_read_rows(io.StringIO(text)), "s")
+    assert panel.structural["location_quotient"] == expected.structural["location_quotient"]
+    assert elapsed < 0.5  # the per-cell re-summing took over a second here
+
+
+def test_unreadable_text_is_a_data_error(tmp_path, capsys):
+    # a carriage return inside an unquoted field of a stream split on "\n"
+    text = "region,year,sector,output_per_worker\na,2000,s,1\nb\rc,2000,s,1\n"
+    with pytest.raises(PanelDataError, match="cannot read CSV after line 2: new-line"):
+        read_rows(io.StringIO(text))
+    # a bad row read before the failure is reported first, as it was
+    text = "region,year,sector,output_per_worker\na,2000,s,0\nb\rc,2000,s,1\n"
+    with pytest.raises(PanelDataError, match="line 2: output_per_worker must be positive"):
+        read_rows(io.StringIO(text))
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"region,year,sector,output_per_worker\nS\xe3o Paulo,2000,s,1\n")
+    code = main(["fit", "--input", str(path), "--sector", "s"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("convpanel: data error: cannot read CSV"), err
+
+
+def strict(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def test_non_finite_values_render_as_null():
+    fit = FitResult(
+        method="pooled",
+        labels=("Const.", "Coef.1"),
+        coefficients=(0.0, -0.5),
+        std_errors=(0.0, 0.0),
+        t_stats=(math.nan, -math.inf),
+        residuals=np.zeros(12),
+        sse=0.0,
+        tss_centered=1.0,
+        r_squared=1.0,
+        df_residual=10,
+        dw=None,
+    )
+    sample = GrowthSample(
+        rows=(), structural_names=(), regions=("a", "b"), panel_regions=("a", "b"),
+        sector="s", dropped_transitions=0, source_cell_count=14,
+    )
+    report = report_from_fit(fit, ModelSpec(method="pooled"), sample)
+    payload = json.loads(render_report([report], "json"), parse_constant=strict)
+    estimates = payload["rows"][0]["estimates"]
+    assert estimates["Const."] == {"value": 0.0, "t": None, "stars": ""}
+    assert estimates["Coef.1"] == {"value": -0.5, "t": None, "stars": "*"}
