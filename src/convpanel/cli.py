@@ -4,14 +4,16 @@ Subcommands: ``fit`` (convergence regressions on a CSV panel),
 ``sigma`` (per-year log-productivity dispersion), ``lq`` (location
 quotients), ``simulate`` (write a synthetic panel as CSV) and
 ``recover`` (Monte Carlo estimator validation). Exit codes: 0 success,
-1 usage error, 2 data error, 3 estimation error. All randomness takes
-an explicit --seed; identical invocations print identical bytes.
+1 usage error, 2 data error, 3 estimation error; a warning prints as one
+``convpanel: warning:`` line on stderr. All randomness takes an explicit
+--seed; identical invocations print identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 from typing import Sequence
 
@@ -223,6 +225,8 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"convpanel: warning: {message}\n"
     try:
         _COMMANDS[args.command](args)
     except PanelDataError as error:
@@ -231,6 +235,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except EstimationError as error:
         print(f"convpanel: estimation error: {error}", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = formatwarning
     return 0
 
 

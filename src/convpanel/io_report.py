@@ -25,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
-from itertools import compress
+from itertools import compress, product
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -34,7 +34,7 @@ import numpy as np
 from .convergence import ConvergenceReport, LocationQuotientInputs, location_quotient
 from .errors import PanelDataError
 from .montecarlo import RecoveryStats
-from .panel import Cell, PanelDataset, SigmaSeries
+from .panel import Cell, CellGrid, PanelDataset, SigmaSeries
 
 NATIONAL_REGION = "NATIONAL"
 
@@ -244,19 +244,15 @@ def panel_from_rows(
             f"empty selection: no rows for sector {sector!r}"
             + (f" in {start}-{end}" if start is not None or end is not None else "")
         )
-    cells = list(zip(compress(rows.region, keep), compress(rows.year, keep)))
-    columns = {}
-    for name, column in zip(NUMERIC_COLUMNS, rows.numbers[:, np.array(keep)]):
-        filled = (~np.isnan(column)).tolist()
-        if any(filled):
-            columns[name] = dict(compress(zip(cells, column.tolist()), filled))
-    return PanelDataset(
-        regions=tuple(sorted(set(compress(rows.region, keep)))),
-        periods=tuple(sorted(set(compress(rows.year, keep)))),
-        sector=sector,
-        values=columns.pop("output_per_worker", {}),
-        structural=columns,
-    )
+    region, year = list(compress(rows.region, keep)), list(compress(rows.year, keep))
+    regions, periods = tuple(sorted(set(region))), tuple(sorted(set(year)))
+    numbers = rows.numbers[:, np.fromiter(keep, bool, len(keep))]
+    grids = np.full((len(NUMERIC_COLUMNS), len(regions), len(periods)), math.nan)
+    grids[:, CellGrid.codes(regions, region), CellGrid.codes(periods, year)] = numbers
+    values, *views = (CellGrid(regions, periods, grid) for grid in grids)
+    filled = (~np.isnan(numbers[1:])).any(axis=1).tolist()
+    structural = dict(compress(zip(NUMERIC_COLUMNS[1:], views), filled))
+    return PanelDataset(regions, periods, sector, values, structural)
 
 
 def read_panel(
@@ -288,51 +284,32 @@ def derive_location_quotients(
     PanelDataError
         If employment or totals are missing for any such cell.
     """
-    sector_emp = panel.structural.get("employment")
-    if not sector_emp:
+    emp = panel.structural.get("employment")
+    if not emp:
         raise PanelDataError(
             f"panel for sector {panel.sector!r} has no employment column; "
             "location quotients need employment data"
         )
-
-    def year_sums(column: Mapping[Cell, float]) -> dict[int, float]:
-        return {
-            year: sum(column[(r, year)] for r in panel.regions if (r, year) in column)
-            for year in panel.periods
-        }
-
-    sector_sums, total_sums = year_sums(sector_emp), year_sums(total_employment)
+    totals = CellGrid.of(panel.regions, panel.periods, total_employment)
+    # per-year national counts: the overrides, else the column's sum in region order
+    nat_sector, nat_total = (
+        {**dict(zip(panel.periods, np.nansum(column.grid, axis=0).tolist())), **(override or {})}
+        for column, override in ((emp, national_sector), (totals, national_total))
+    )
     quotients: dict[Cell, float] = {}
     for cell in sorted(panel.values):
         region, year = cell
-        if cell not in sector_emp:
+        count, total = emp.get(cell), totals.get(cell)
+        if count is None:
             raise PanelDataError(
                 f"missing employment for region {region!r}, year {year}, "
                 f"sector {panel.sector!r}"
             )
-        if cell not in total_employment:
+        if total is None:
             raise PanelDataError(f"missing total employment for region {region!r}, year {year}")
-        nat_sector = (
-            national_sector[year]
-            if national_sector is not None and year in national_sector
-            else sector_sums[year]
-        )
-        nat_total = (
-            national_total[year]
-            if national_total is not None and year in national_total
-            else total_sums[year]
-        )
-        quotients[cell] = location_quotient(
-            LocationQuotientInputs(
-                regional_sector=sector_emp[cell],
-                national_sector=nat_sector,
-                regional_total=total_employment[cell],
-                national_total=nat_total,
-            )
-        )
-    structural = dict(panel.structural)
-    structural["location_quotient"] = quotients
-    return replace(panel, structural=structural)
+        inputs = LocationQuotientInputs(count, nat_sector[year], total, nat_total[year])
+        quotients[cell] = location_quotient(inputs)
+    return replace(panel, structural={**panel.structural, "location_quotient": quotients})
 
 
 def location_quotients_from_rows(
@@ -363,12 +340,7 @@ def location_quotients_from_rows(
                 national_sector[year] = count
         else:
             totals[(region, year)] = totals.get((region, year), 0.0) + count
-    return derive_location_quotients(
-        panel,
-        totals,
-        national_sector=national_sector or None,
-        national_total=national_total or None,
-    )
+    return derive_location_quotients(panel, totals, national_sector, national_total)
 
 
 def write_panel(panel: PanelDataset, destination: str | Path | TextIO) -> None:
@@ -385,22 +357,12 @@ def write_panel(panel: PanelDataset, destination: str | Path | TextIO) -> None:
     columns = [name for name in OPTIONAL_COLUMNS if name in panel.structural]
     writer = csv.writer(destination, lineterminator="\n")
     writer.writerow(list(REQUIRED_COLUMNS) + columns)
-    for region in panel.regions:
-        for year in panel.periods:
-            cell = (region, year)
-            value = panel.values.get(cell)
-            extras = [panel.structural[name].get(cell) for name in columns]
-            if value is None and all(extra is None for extra in extras):
-                continue
-            writer.writerow(
-                [
-                    region,
-                    year,
-                    panel.sector,
-                    "" if value is None else repr(float(value)),
-                ]
-                + ["" if extra is None else repr(float(extra)) for extra in extras]
-            )
+    grids = [panel.values.grid] + [panel.structural[name].grid for name in columns]
+    cells = np.stack(grids, axis=-1).reshape(-1, len(grids)).tolist()
+    for (region, year), values in zip(product(panel.regions, panel.periods), cells):
+        if not all(map(math.isnan, values)):
+            text = ["" if math.isnan(value) else repr(value) for value in values]
+            writer.writerow([region, year, panel.sector, *text])
 
 
 # ---------------------------------------------------------------------------
@@ -563,44 +525,25 @@ def _json(payload) -> str:
 
 def render_sigma(series: SigmaSeries, fmt: str = "md") -> str:
     """Per-year dispersion table of log productivity."""
+    years = list(zip(series.years, series.region_counts, series.dispersion))
     if fmt == "json":
-        payload = {
-            "sector": series.sector,
-            "rows": [
-                {"year": year, "regions": count, "sigma": sigma}
-                for year, sigma, count in zip(series.years, series.dispersion, series.region_counts)
-            ],
-        }
-        return _json(payload)
-    header = ["Year", "Regions", "Sigma"]
-    rows = [
-        [str(year), str(count), f"{sigma:.6f}"]
-        for year, sigma, count in zip(series.years, series.dispersion, series.region_counts)
-    ]
-    return _table(header, rows, fmt)
+        rows = [{"year": year, "regions": count, "sigma": sigma} for year, count, sigma in years]
+        return _json({"sector": series.sector, "rows": rows})
+    rows = [[str(year), str(count), f"{sigma:.6f}"] for year, count, sigma in years]
+    return _table(["Year", "Regions", "Sigma"], rows, fmt)
 
 
-def render_location_quotients(
-    panel: PanelDataset,
-    fmt: str = "md",
-) -> str:
+def render_location_quotients(panel: PanelDataset, fmt: str = "md") -> str:
     """Per-(region, year) location quotient table."""
     quotients = panel.structural.get("location_quotient")
     if not quotients:
         raise PanelDataError("panel has no location_quotient column")
-    cells = sorted(quotients)
+    cells = sorted(quotients.items())
     if fmt == "json":
-        payload = {
-            "sector": panel.sector,
-            "rows": [
-                {"region": region, "year": year, "lq": quotients[(region, year)]}
-                for region, year in cells
-            ],
-        }
-        return _json(payload)
-    header = ["Region", "Year", "LQ"]
-    rows = [[region, str(year), f"{quotients[(region, year)]:.6f}"] for region, year in cells]
-    return _table(header, rows, fmt)
+        rows = [{"region": region, "year": year, "lq": lq} for (region, year), lq in cells]
+        return _json({"sector": panel.sector, "rows": rows})
+    rows = [[region, str(year), f"{lq:.6f}"] for (region, year), lq in cells]
+    return _table(["Region", "Year", "LQ"], rows, fmt)
 
 
 def render_recovery(stats: RecoveryStats, fmt: str = "md") -> str:

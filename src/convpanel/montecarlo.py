@@ -26,7 +26,7 @@ import numpy as np
 from .errors import EstimationError, PanelDataError
 from .estimators import METHODS, ModelSpec
 from .estimators import fit_method as _fit  # the loop's seam: tests patch in a failing fit
-from .panel import PanelDataset, build_growth_sample
+from .panel import CellGrid, PanelDataset, build_growth_sample
 from .regression import t_critical
 
 
@@ -124,14 +124,14 @@ def simulate_panel(config: SimulationConfig) -> PanelDataset:
             + shocks[:, j - 1]
         )
 
-    regions = _region_names(r)
-    periods = tuple(range(1, t + 1))
-    values = {
-        (region, year): float(np.exp(log_p[i, j]))
-        for i, region in enumerate(regions)
-        for j, year in enumerate(periods)
-    }
-    return PanelDataset(regions=regions, periods=periods, sector="simulated", values=values)
+    regions, periods = _region_names(r), tuple(range(1, t + 1))
+    with np.errstate(over="ignore"):  # an overflow is reported as the infinite cell it makes
+        levels = np.exp(log_p)
+    if np.isnan(levels).any():  # a NaN would read as an absent cell
+        i, j = np.argwhere(np.isnan(levels))[0].tolist()
+        cell = (regions[i], periods[j])
+        raise PanelDataError(f"output per worker must be positive and finite, got nan at {cell}")
+    return PanelDataset(regions, periods, "simulated", CellGrid(regions, periods, levels))
 
 
 def recovery_experiment(

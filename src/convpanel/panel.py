@@ -1,28 +1,77 @@
 """Panel data model and growth-sample construction.
 
 A :class:`PanelDataset` holds output-per-worker observations for one
-sector on a region x year grid (cells may be missing). From it we build
-the regression sample for the growth equation
+sector on a region x year grid (cells may be missing). Each of its
+columns is a :class:`CellGrid`: a read-only (region, year) -> value
+mapping over one regions x periods array, NaN where a cell is absent.
+From it we build the regression sample for the growth equation
 
     dlog(P_it) = c + b * log(P_i,t-1) + v_it
 
 one row per region-transition between consecutive years, and the
 per-year cross-sectional dispersion of log productivity used for
-sigma-convergence. Both read the panel as one regions x periods array
-(NaN where a cell is absent), laid out by :func:`_grid`.
+sigma-convergence. Both read the arrays behind the mappings.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from itertools import count, repeat
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import PanelDataError
 
 Cell = tuple[str, int]
+
+
+class CellGrid(Mapping[Cell, float]):
+    """A read-only (region, year) -> float mapping over ``grid``, a regions x periods
+    array in which NaN marks an absent cell; cells iterate region by region."""
+
+    def __init__(self, regions: tuple[str, ...], periods: tuple[int, ...], grid: np.ndarray):
+        self.regions, self.periods = regions, periods
+        self.grid = np.ascontiguousarray(grid, dtype=float)  # column sums run in region order
+        self.grid.flags.writeable = False
+        self._row, self._col = dict(zip(regions, count())), dict(zip(periods, count()))
+
+    @staticmethod
+    def codes(axis: Sequence, labels: Sequence) -> np.ndarray:
+        """Each label's index in ``axis``, -1 where it is not there."""
+        index = dict(zip(axis, count()))
+        return np.fromiter(map(index.get, labels, repeat(-1)), np.intp, len(labels))
+
+    @classmethod
+    def of(cls, regions, periods, column: Mapping[Cell, float]) -> CellGrid:
+        """``column`` laid out on these axes, leaving out its cells outside
+        them and its NaN values; a ``CellGrid`` on these axes is kept."""
+        if isinstance(column, CellGrid) and (column.regions, column.periods) == (regions, periods):
+            return column
+        names, years = zip(*column) if column else ((), ())
+        i, j = cls.codes(regions, names), cls.codes(periods, years)
+        inside = (i >= 0) & (j >= 0)
+        grid = np.full((len(regions), len(periods)), np.nan)
+        grid[i[inside], j[inside]] = np.fromiter(column.values(), float, len(column))[inside]
+        return cls(regions, periods, grid)
+
+    def __getitem__(self, cell: Cell) -> float:
+        value = self.grid.item(self._row[cell[0]], self._col[cell[1]])  # KeyError outside the axes
+        if math.isnan(value):
+            raise KeyError(cell)
+        return value
+
+    def __iter__(self) -> Iterator[Cell]:
+        i, j = np.nonzero(~np.isnan(self.grid))
+        regions = map(self.regions.__getitem__, i.tolist())
+        return zip(regions, map(self.periods.__getitem__, j.tolist()))
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(~np.isnan(self.grid)))
+
+    def __repr__(self) -> str:
+        return f"CellGrid({dict(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -38,14 +87,16 @@ class PanelDataset:
     sector : str
         Sector label.
     values : mapping (region, year) -> float
-        Output per worker; every stored value must be positive. Cells may
-        be absent (unbalanced panels are fine).
+        Output per worker; every stored value must be positive and
+        finite. Cells may be absent (unbalanced panels are fine).
     structural : mapping name -> {(region, year) -> float}
         Optional named structural variables (capital/output ratio,
-        goods-flow/output ratio, location quotient, employment).
+        goods-flow/output ratio, location quotient, employment), finite.
 
-    The dataset is treated as immutable after construction and is safe to
-    share across threads.
+    Each column is kept as a :class:`CellGrid` on the panel's axes; any
+    other mapping is laid out once, and a cell of it outside the axes,
+    or an explicit NaN, is an error. The dataset is immutable after
+    construction and safe to share across threads.
     """
 
     regions: tuple[str, ...]
@@ -63,40 +114,40 @@ class PanelDataset:
             raise PanelDataError("panel needs at least 2 periods")
         if any(b <= a for a, b in zip(self.periods, self.periods[1:])):
             raise PanelDataError("periods must be strictly increasing")
-        regions, periods = set(self.regions), set(self.periods)
-        for cell, value in self.values.items():
-            if cell[0] not in regions or cell[1] not in periods:
-                raise PanelDataError(f"value cell {cell} outside the region/period grid")
-            if not (value > 0.0) or not math.isfinite(value):
-                raise PanelDataError(
-                    f"output per worker must be positive and finite, got {value!r} at {cell}"
-                )
-        for name, column in self.structural.items():
-            for cell, value in column.items():
-                if cell[0] not in regions or cell[1] not in periods:
-                    raise PanelDataError(
-                        f"structural cell {cell} of {name!r} outside the region/period grid"
-                    )
-                if not math.isfinite(value):
-                    raise PanelDataError(
-                        f"structural value {name!r} must be finite, got {value!r} at {cell}"
-                    )
+        values = self._on_axes(
+            self.values, "value cell {}", "output per worker must be positive and finite", True
+        )
+        structural = {
+            name: self._on_axes(
+                column,
+                f"structural cell {{}} of {name!r}",
+                f"structural value {name!r} must be finite",
+            )
+            for name, column in self.structural.items()
+        }
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "structural", structural)
+
+    def _on_axes(self, column, where: str, what: str, positive: bool = False) -> CellGrid:
+        """``column`` as a :class:`CellGrid` on this panel's axes, every
+        present value finite (and, if ``positive``, positive)."""
+        view = CellGrid.of(self.regions, self.periods, column)
+        if view is not column and len(view) < len(column):  # a cell outside the axes, or NaN
+            cell = next(cell for cell in column if cell not in view)
+            if cell[0] not in self.regions or cell[1] not in self.periods:
+                raise PanelDataError(f"{where.format(cell)} outside the region/period grid")
+            raise PanelDataError(f"{what}, got {column[cell]!r} at {cell}")
+        bad = (view.grid <= 0.0) | (view.grid == np.inf) if positive else np.isinf(view.grid)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            cell = (self.regions[i], self.periods[j])
+            raise PanelDataError(f"{what}, got {view.grid[i, j].item()!r} at {cell}")
+        return view
 
     @property
     def cell_count(self) -> int:
         """Number of stored productivity cells (raw observation count)."""
         return len(self.values)
-
-
-def _grid(panel: PanelDataset, column: Mapping[Cell, float]) -> np.ndarray:
-    """``column`` as a regions x periods array, NaN where a cell is absent."""
-    row = {region: i for i, region in enumerate(panel.regions)}
-    col = {year: j for j, year in enumerate(panel.periods)}
-    width = len(panel.periods)
-    flat = [math.nan] * (len(row) * width)
-    for (region, year), value in column.items():
-        flat[row[region] * width + col[year]] = value
-    return np.array(flat).reshape(len(row), width)
 
 
 @dataclass(frozen=True)
@@ -251,7 +302,7 @@ def build_growth_sample(
         if name not in panel.structural:
             raise PanelDataError(f"panel has no structural variable {name!r}")
 
-    logs = np.log(_grid(panel, panel.values))
+    logs = np.log(panel.values.grid)
     present = ~np.isnan(logs)
     periods = np.array(panel.periods)
     annual = periods[1:] - periods[:-1] == 1
@@ -266,7 +317,7 @@ def build_growth_sample(
     x = logs[region, step]
     block = np.column_stack(
         [logs[region, step + 1] - x, x]
-        + [_grid(panel, panel.structural[name])[region, step] for name in names]
+        + [panel.structural[name].grid[region, step] for name in names]
     )
     if names and np.isnan(block[:, 2:]).any():
         i, k = np.argwhere(np.isnan(block[:, 2:]))[0]
@@ -299,7 +350,7 @@ def sigma_dispersion(panel: PanelDataset) -> SigmaSeries:
     PanelDataError
         If no year has at least two regions present.
     """
-    logs = np.log(_grid(panel, panel.values))
+    logs = np.log(panel.values.grid)
     present = ~np.isnan(logs)
     counts = present.sum(axis=0)
     keep = counts >= 2
@@ -309,9 +360,8 @@ def sigma_dispersion(panel: PanelDataset) -> SigmaSeries:
     # order; years with fewer than two regions divide by zero here and
     # are dropped below.
     with np.errstate(divide="ignore", invalid="ignore"):
-        mean = np.where(present, logs, 0.0).sum(axis=0) / counts
-        deviations = np.where(present, logs - mean, 0.0)
-        sigma = np.sqrt((deviations**2).sum(axis=0) / (counts - 1))
+        mean = np.nansum(logs, axis=0) / counts
+        sigma = np.sqrt(np.nansum((logs - mean) ** 2, axis=0) / (counts - 1))
     return SigmaSeries(
         sector=panel.sector,
         years=tuple(year for year, k in zip(panel.periods, keep.tolist()) if k),

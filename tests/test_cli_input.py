@@ -1,11 +1,17 @@
 """CLI input contract: byte-order marks, non-finite cells, count flags,
-and one diagnostic per single-row region under --method all."""
+one diagnostic per single-row region under --method all, each warning
+and error on one stderr line, and an overflowing simulation."""
 
 import io
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import convpanel
 from convpanel.cli import main
 from convpanel.io_report import read_rows
 
@@ -110,3 +116,47 @@ def test_fit_all_warns_once_per_single_row_region(tmp_path, capsys):
     assert code == 0
     messages = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
     assert messages == ["region 'c' contributes a single row; its dummy absorbs it"]
+
+
+TWO_SINGLE_ROW_REGIONS = CSV + "e,2002,x,50\ne,2003,x,55\n"
+
+
+def test_warnings_print_as_one_line_each(tmp_path):
+    path = tmp_path / "single.csv"
+    path.write_text(TWO_SINGLE_ROW_REGIONS, encoding="utf-8")
+    src = str(Path(convpanel.__file__).resolve().parents[1])
+    path_list = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_list)}
+    argv = ["fit", "--input", str(path), "--sector", "x", "--method", "all"]
+    result = subprocess.run(
+        [sys.executable, "-m", "convpanel.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0 and result.stdout.startswith("| Method")
+    assert result.stderr.splitlines() == [
+        f"convpanel: warning: region {region!r} contributes a single row; its dummy absorbs it"
+        for region in ("c", "e")
+    ]
+
+
+@pytest.mark.parametrize("sector", ["x", "missing"])
+def test_main_leaves_the_warnings_module_as_it_found_it(tmp_path, capsys, sector):
+    path = tmp_path / "single.csv"
+    path.write_text(TWO_SINGLE_ROW_REGIONS, encoding="utf-8")
+    before = warnings.formatwarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run(capsys, "fit", "--input", str(path), "--sector", sector)
+    assert (code, len(caught)) == ((0, 2) if sector == "x" else (2, 0))
+    assert warnings.formatwarning is before
+
+
+@pytest.mark.parametrize("command", ["simulate", "recover"])
+def test_overflowing_dgp_is_one_data_error_line(capsys, command):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, command, "--seed", "1", "--b-true=-1e-9", "--intercept", "1")
+    assert (code, out, caught) == (2, "", [])
+    assert err == (
+        "convpanel: data error: output per worker must be positive and finite, "
+        "got inf at ('R1', 1)\n"
+    )
