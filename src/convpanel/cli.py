@@ -4,9 +4,10 @@ Subcommands: ``fit`` (convergence regressions on a CSV panel),
 ``sigma`` (per-year log-productivity dispersion), ``lq`` (location
 quotients), ``simulate`` (write a synthetic panel as CSV) and
 ``recover`` (Monte Carlo estimator validation). Exit codes: 0 success,
-1 usage error, 2 data error, 3 estimation error; a warning prints as one
-``convpanel: warning:`` line on stderr. All randomness takes an explicit
---seed; identical invocations print identical bytes.
+1 usage error (or an unwritable ``--out``), 2 data error, 3 estimation
+error; a warning prints as one ``convpanel: warning:`` line on stderr.
+All randomness takes an explicit --seed; identical invocations print
+identical bytes.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .io_report import (
     render_recovery,
     render_report,
     render_sigma,
-    write_panel,
 )
 from .montecarlo import SimulationConfig, recovery_experiment, simulate_panel
 from .panel import sigma_dispersion
@@ -52,12 +52,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_io_flags(parser, with_window=True):
+def _add_io_flags(parser):
     parser.add_argument("--input", required=True, help="long-format panel CSV")
     parser.add_argument("--sector", required=True, help="sector label to select")
-    if with_window:
-        parser.add_argument("--from", dest="from_year", type=int, help="first year (inclusive)")
-        parser.add_argument("--to", dest="to_year", type=int, help="last year (inclusive)")
+    parser.add_argument("--from", dest="from_year", type=int, help="first year (inclusive)")
+    parser.add_argument("--to", dest="to_year", type=int, help="last year (inclusive)")
 
 
 def _add_output_flags(parser):
@@ -155,13 +154,21 @@ def _conditional_names(raw: str) -> tuple[str, ...]:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+    """Write ``text`` to ``out``, or to stdout; an unwritable file is a
+    one-line usage error (exit 1), as argparse's are."""
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as error:
+        print(f"convpanel: error: cannot write {out}: {error.strerror}", file=sys.stderr)
+        raise SystemExit(1) from None
 
 
 def _simulation_config(args) -> SimulationConfig:
+    if args.effect_sd < 0.0:
+        raise PanelDataError("region-effect standard deviation cannot be negative")
     return SimulationConfig(
         seed=args.seed,
         regions=args.regions,
@@ -198,11 +205,7 @@ def _cmd_lq(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
-    panel = simulate_panel(_simulation_config(args))
-    if args.out:
-        write_panel(panel, args.out)
-    else:
-        sys.stdout.write(render_panel_csv(panel))
+    _emit(render_panel_csv(simulate_panel(_simulation_config(args))), args.out)
 
 
 def _cmd_recover(args) -> None:
@@ -210,6 +213,8 @@ def _cmd_recover(args) -> None:
     for method in methods:
         if method not in METHODS:
             raise PanelDataError(f"unknown method {method!r}; expected subset of {METHODS}")
+    if len(set(methods)) != len(methods):
+        raise PanelDataError("methods must be unique")
     stats = recovery_experiment(_simulation_config(args), args.reps, methods)
     _emit(render_recovery(stats, args.format), args.out)
 

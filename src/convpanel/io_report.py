@@ -10,10 +10,11 @@ numeric cells must be finite. The whole file, every sector, is read
 once into columns and validated in one columnar pass; the first bad
 row, by line, is reported. A pseudo-region ``NATIONAL`` may carry
 national employment totals for location-quotient construction; it
-never enters estimation. Reports render one row per method (Pooling,
-LSDV, GLS), estimates printed to 3 decimals (ties away from zero) with
-t-statistics in parentheses and stars per the significance classes;
-the JSON format keeps full precision.
+never enters estimation. Each renderer builds one JSON payload whose
+``rows`` the md and tsv formats print as table rows. Reports render one
+row per method (Pooling, LSDV, GLS), estimates printed to 3 decimals
+(ties away from zero) with t-statistics in parentheses and stars per the
+significance classes; the JSON format keeps full precision.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import compress, product
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .convergence import ConvergenceReport, LocationQuotientInputs, location_quotient
 from .errors import PanelDataError
+from .estimators import METHODS
 from .montecarlo import RecoveryStats
 from .panel import Cell, CellGrid, PanelDataset, SigmaSeries
 
@@ -48,7 +50,6 @@ NUMERIC_COLUMNS = (
 POSITIVE_COLUMNS = ("output_per_worker", "employment")
 
 METHOD_TITLES = {"pooled": "Pooling", "lsdv": "LSDV", "gls": "GLS"}
-METHOD_ORDER = ("pooled", "lsdv", "gls")
 
 FORMATS = ("md", "tsv", "json")
 
@@ -112,8 +113,11 @@ def read_rows(source: str | Path | TextIO) -> PanelRows:
         path = Path(source)
         if not path.exists():
             raise PanelDataError(f"input file not found: {path}")
-        with path.open(newline="", encoding="utf-8") as handle:
-            return read_rows(handle)
+        try:
+            with path.open(newline="", encoding="utf-8") as handle:
+                return read_rows(handle)
+        except OSError as error:  # a directory, say, or no permission
+            raise PanelDataError(f"cannot read input file {path}: {error.strerror}") from None
 
     reader = csv.reader(source)
     # records are kept as tuples: the garbage collector stops tracking a
@@ -381,30 +385,6 @@ def _fmt3(value: float | None) -> str:
     return str(Decimal(repr(value)).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
 
 
-def _estimate_cell(report: ConvergenceReport, label: str) -> str:
-    i = report.fit.labels.index(label)
-    value = report.fit.coefficients[i]
-    t = report.fit.t_stats[i]
-    return f"{_fmt3(value)}{report.stars(label)} ({_fmt3(t)})"
-
-
-def _check_reports(reports: Sequence[ConvergenceReport]) -> None:
-    if not reports:
-        raise PanelDataError("nothing to render: empty report list")
-    first = reports[0]
-    for report in reports[1:]:
-        if (
-            report.spec.structural != first.spec.structural
-            or report.sector != first.sector
-            or report.panel_regions != first.panel_regions
-        ):
-            raise PanelDataError("mixed specs: reports disagree on sector or regressors")
-
-
-def _ordered(reports: Sequence[ConvergenceReport]) -> list[ConvergenceReport]:
-    return sorted(reports, key=lambda r: METHOD_ORDER.index(r.fit.method))
-
-
 def _table(header: list[str], rows: list[list[str]], fmt: str) -> str:
     if fmt == "tsv":
         lines = ["\t".join(header)] + ["\t".join(row) for row in rows]
@@ -419,6 +399,18 @@ def _table(header: list[str], rows: list[list[str]], fmt: str) -> str:
     raise PanelDataError(f"unknown format {fmt!r}, expected one of {FORMATS}")
 
 
+def _render(payload: dict, fmt: str, header: list[str], cells: Callable[[dict], list]) -> str:
+    """The payload as JSON, or a table of ``cells(row)`` for each of its rows."""
+    if fmt == "json":
+        return _json(payload)
+    return _table(header, [cells(row) for row in payload["rows"]], fmt)
+
+
+def _estimate_text(estimate: dict) -> str:
+    """An estimate as "value<stars> (t)"."""
+    return f"{_fmt3(estimate['value'])}{estimate['stars']} ({_fmt3(estimate['t'])})"
+
+
 def render_report(reports: Sequence[ConvergenceReport], fmt: str = "md") -> str:
     """Publication-style result table, one row per method.
 
@@ -427,78 +419,57 @@ def render_report(reports: Sequence[ConvergenceReport], fmt: str = "md") -> str:
     absent from a sub-panel render "---"), the slope coefficients, T.C.,
     DW, R2 and G.L. The json format carries full precision.
     """
-    _check_reports(reports)
-    ordered = _ordered(reports)
-    first = ordered[0]
-    slope_labels = first.spec.slope_labels
-    panel_regions = first.panel_regions
-    has_const = any(r.fit.method in ("pooled", "gls") for r in ordered)
-    has_dummies = any(r.fit.method == "lsdv" for r in ordered)
-
-    if fmt == "json":
-        return _report_json(ordered)
+    payload = _report_payload(reports)
+    regions, rows = payload["spec"]["regions"], payload["rows"]
+    has_const = any(row["method"] in ("pooled", "gls") for row in rows)
+    has_dummies = any(row["method"] == "lsdv" for row in rows)
+    slopes = [label for label in rows[0]["estimates"] if label.startswith("Coef.")]
 
     header = ["Method"]
     if has_const:
         header.append("Const.")
     if has_dummies:
-        header += [f"D{i + 1}" for i in range(len(panel_regions))]
-    header += list(slope_labels) + ["T.C.", "DW", "R2", "G.L."]
+        header += [f"D{i + 1}" for i in range(len(regions))]
+    header += slopes + ["T.C.", "DW", "R2", "G.L."]
 
+    def cells(row: dict) -> list[str]:
+        estimates = row["estimates"]
+        line = [METHOD_TITLES[row["method"]]]
+        if has_const:  # blank in an LSDV row, and in a GLS row whose intercept was dropped
+            line.append(_estimate_text(estimates["Const."]) if "Const." in estimates else "")
+        if has_dummies:  # a region without a dummy: "---" in an LSDV row, else blank
+            dummies = {region: label for label, region in row["dummy_regions"].items()}
+            absent = "---" if row["method"] == "lsdv" else ""
+            for region in regions:
+                label = dummies.get(region)
+                line.append(_estimate_text(estimates[label]) if label else absent)
+        line += [_estimate_text(estimates[label]) for label in slopes]
+        line += [_fmt3(row["tc"]), _fmt3(row["dw"]), _fmt3(row["r2"]), str(row["df"])]
+        return line
+
+    return _render(payload, fmt, header, cells)
+
+
+def _report_payload(reports: Sequence[ConvergenceReport]) -> dict:
+    """The JSON document of a result table: the shared spec and one row
+    per report, in ``METHODS`` order."""
+    if not reports:
+        raise PanelDataError("nothing to render: empty report list")
+    if len({(r.spec.structural, r.sector, r.panel_regions) for r in reports}) > 1:
+        raise PanelDataError("mixed specs: reports disagree on sector or regressors")
+    ordered = sorted(reports, key=lambda report: METHODS.index(report.fit.method))
+    first = ordered[0]
     rows = []
     for report in ordered:
         fit = report.fit
-        cells = [METHOD_TITLES[fit.method]]
-        if has_const:
-            cells.append(_estimate_cell(report, "Const.") if "Const." in fit.labels else "")
-        if has_dummies:
-            if fit.method == "lsdv":
-                present = {region: f"D{i + 1}" for i, region in enumerate(report.regions)}
-                for region in panel_regions:
-                    cells.append(
-                        _estimate_cell(report, present[region]) if region in present else "---"
-                    )
-            else:
-                cells += ["" for _ in panel_regions]
-        for label in slope_labels:
-            cells.append(_estimate_cell(report, label) if label in fit.labels else "")
-        cells += [
-            _fmt3(report.tc),
-            _fmt3(fit.dw),
-            _fmt3(fit.r_squared),
-            str(fit.df_residual),
-        ]
-        rows.append(cells)
-    return _table(header, rows, fmt)
-
-
-def _report_json(ordered: Sequence[ConvergenceReport]) -> str:
-    first = ordered[0]
-    payload = {
-        "spec": {
-            "sector": first.sector,
-            "structural": list(first.spec.structural),
-            "regions": list(first.panel_regions),
-        },
-        "rows": [],
-    }
-    for report in ordered:
-        fit = report.fit
-        estimates = {}
-        for i, label in enumerate(fit.labels):
-            estimates[label] = {
-                "value": fit.coefficients[i],
-                "t": fit.t_stats[i],
-                "stars": report.stars(label),
-            }
         row = {
             "method": fit.method,
-            "estimates": estimates,
-            "dummy_regions": (
-                {f"D{i + 1}": region for i, region in enumerate(report.regions)}
-                if fit.method == "lsdv"
-                else {}
-            ),
+            "estimates": {
+                label: {"value": value, "t": t, "stars": report.stars(label)}
+                for label, value, t in zip(fit.labels, fit.coefficients, fit.t_stats)
+            },
+            # an LSDV fit's labels start with its dummies D1..Dk, one per region
+            "dummy_regions": dict(zip(fit.labels, report.regions)) if fit.method == "lsdv" else {},
             "tc": report.tc,
             "half_life": report.half_life,
             "verdict": report.verdict,
@@ -509,8 +480,13 @@ def _report_json(ordered: Sequence[ConvergenceReport]) -> str:
             "cells": report.source_cell_count,
             "dropped_transitions": report.dropped_transitions,
         }
-        payload["rows"].append(row)
-    return _json(payload)
+        rows.append(row)
+    spec = {
+        "sector": first.sector,
+        "structural": list(first.spec.structural),
+        "regions": list(first.panel_regions),
+    }
+    return {"spec": spec, "rows": rows}
 
 
 def _json(payload) -> str:
@@ -525,12 +501,14 @@ def _json(payload) -> str:
 
 def render_sigma(series: SigmaSeries, fmt: str = "md") -> str:
     """Per-year dispersion table of log productivity."""
-    years = list(zip(series.years, series.region_counts, series.dispersion))
-    if fmt == "json":
-        rows = [{"year": year, "regions": count, "sigma": sigma} for year, count, sigma in years]
-        return _json({"sector": series.sector, "rows": rows})
-    rows = [[str(year), str(count), f"{sigma:.6f}"] for year, count, sigma in years]
-    return _table(["Year", "Regions", "Sigma"], rows, fmt)
+    years = zip(series.years, series.region_counts, series.dispersion)
+    rows = [{"year": year, "regions": count, "sigma": sigma} for year, count, sigma in years]
+
+    def cells(row: dict) -> list[str]:
+        return [str(row["year"]), str(row["regions"]), f"{row['sigma']:.6f}"]
+
+    header = ["Year", "Regions", "Sigma"]
+    return _render({"sector": series.sector, "rows": rows}, fmt, header, cells)
 
 
 def render_location_quotients(panel: PanelDataset, fmt: str = "md") -> str:
@@ -538,44 +516,33 @@ def render_location_quotients(panel: PanelDataset, fmt: str = "md") -> str:
     quotients = panel.structural.get("location_quotient")
     if not quotients:
         raise PanelDataError("panel has no location_quotient column")
-    cells = sorted(quotients.items())
-    if fmt == "json":
-        rows = [{"region": region, "year": year, "lq": lq} for (region, year), lq in cells]
-        return _json({"sector": panel.sector, "rows": rows})
-    rows = [[region, str(year), f"{lq:.6f}"] for (region, year), lq in cells]
-    return _table(["Region", "Year", "LQ"], rows, fmt)
+    rows = [{"region": r, "year": y, "lq": lq} for (r, y), lq in sorted(quotients.items())]
+
+    def cells(row: dict) -> list[str]:
+        return [row["region"], str(row["year"]), f"{row['lq']:.6f}"]
+
+    return _render({"sector": panel.sector, "rows": rows}, fmt, ["Region", "Year", "LQ"], cells)
 
 
 def render_recovery(stats: RecoveryStats, fmt: str = "md") -> str:
     """Monte Carlo recovery summary, one row per estimation method."""
-    if fmt == "json":
-        payload = {
-            "b_true": stats.b_true,
-            "replications": stats.replications,
-            "rows": [
-                {
-                    "method": method,
-                    "mean_estimate": stats.mean_estimate[method],
-                    "mean_bias": stats.mean_bias[method],
-                    "sd": stats.sd[method],
-                    "coverage95": stats.coverage[method],
-                }
-                for method in stats.methods
-            ],
-        }
-        return _json(payload)
-    header = ["Method", "Mean b", "Bias", "SD", "Coverage95"]
     rows = [
-        [
-            METHOD_TITLES[method],
-            f"{stats.mean_estimate[method]:.6f}",
-            f"{stats.mean_bias[method]:.6f}",
-            f"{stats.sd[method]:.6f}",
-            f"{stats.coverage[method]:.3f}",
-        ]
+        {
+            "method": method,
+            "mean_estimate": stats.mean_estimate[method],
+            "mean_bias": stats.mean_bias[method],
+            "sd": stats.sd[method],
+            "coverage95": stats.coverage[method],
+        }
         for method in stats.methods
     ]
-    return _table(header, rows, fmt)
+
+    def cells(row: dict) -> list[str]:
+        numbers = [f"{row[key]:.6f}" for key in ("mean_estimate", "mean_bias", "sd")]
+        return [METHOD_TITLES[row["method"]], *numbers, f"{row['coverage95']:.3f}"]
+
+    payload = {"b_true": stats.b_true, "replications": stats.replications, "rows": rows}
+    return _render(payload, fmt, ["Method", "Mean b", "Bias", "SD", "Coverage95"], cells)
 
 
 def render_panel_csv(panel: PanelDataset) -> str:

@@ -160,6 +160,8 @@ def recovery_experiment(
     for method in methods:
         if method not in METHODS:
             raise EstimationError(f"unknown method {method!r}")
+    if len(set(methods)) != len(methods):
+        raise EstimationError(f"methods must be unique, got {methods}")
 
     child_seeds = np.random.SeedSequence(config.seed).generate_state(replications, np.uint64)
     estimates: dict[str, list[float]] = {method: [] for method in methods}

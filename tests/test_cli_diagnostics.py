@@ -1,0 +1,73 @@
+"""One-line diagnostics for inputs that used to run wrongly or end in a
+traceback: a repeated ``recover`` method, an input path that cannot be
+read, an ``--out`` path that cannot be written and a negative
+``--effect-sd``."""
+
+from pathlib import Path
+
+import pytest
+
+from convpanel.cli import main
+from convpanel.errors import EstimationError
+from convpanel.montecarlo import SimulationConfig, recovery_experiment
+
+PANEL = ["--input", str(Path(__file__).parent / "golden" / "sim42.csv"), "--sector", "simulated"]
+
+
+def run(capsys, *argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exit_:
+        code = exit_.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_recover_method_is_a_data_error(capsys):
+    argv = ["recover", "--seed", "1", "--reps", "20", "--methods", "pooled,pooled"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "convpanel: data error: methods must be unique\n")
+
+
+def test_recovery_experiment_rejects_repeated_methods():
+    config = SimulationConfig(seed=1, regions=5, periods=9, b_true=-0.3)
+    with pytest.raises(EstimationError, match="methods must be unique"):
+        recovery_experiment(config, 2, ("lsdv", "gls", "lsdv"))
+
+
+@pytest.mark.parametrize("command", ["fit", "sigma", "lq"])
+def test_input_that_is_a_directory_is_a_data_error(tmp_path, capsys, command):
+    code, out, err = run(capsys, command, "--input", str(tmp_path), "--sector", "x")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"convpanel: data error: cannot read input file {tmp_path}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", *PANEL, "--format", "md"],
+        ["sigma", *PANEL, "--format", "tsv"],
+        ["recover", "--seed", "1", "--reps", "2", "--format", "json"],
+        ["simulate", "--seed", "1"],
+    ],
+)
+def test_unwritable_out_is_one_error_line(tmp_path, capsys, argv):
+    for target in (tmp_path / "missing" / "out.txt", tmp_path):  # no such directory; a directory
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"convpanel: error: cannot write {target}: ")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["recover", "--reps", "2"]])
+def test_negative_effect_sd_is_a_data_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "1", "--effect-sd=-1")
+    assert (code, out) == (2, "")
+    assert err == "convpanel: data error: region-effect standard deviation cannot be negative\n"
+
+
+def test_zero_effect_sd_still_runs(capsys):
+    code, out, _ = run(capsys, "simulate", "--seed", "1", "--effect-sd", "0")
+    assert code == 0 and out.startswith("region,year,sector")

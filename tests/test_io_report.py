@@ -236,7 +236,6 @@ class TestRenderReport:
         import numpy as np
 
         from convpanel.convergence import report_from_fit
-        from convpanel.io_report import _estimate_cell
         from convpanel.panel import GrowthSample
         from convpanel.regression import FitResult
 
@@ -259,8 +258,10 @@ class TestRenderReport:
         )
         report = report_from_fit(fit, ModelSpec(method="pooled"), sample)
         # insignificant at df=38: no star on either label
-        assert _estimate_cell(report, "Coef.1") == "-0.063 (-1.163)"
-        assert _estimate_cell(report, "Const.") == "0.558 (1.200)"
+        header, row = (line.split("\t") for line in render_report([report], "tsv").splitlines())
+        cells = dict(zip(header, row))
+        assert cells["Coef.1"] == "-0.063 (-1.163)"
+        assert cells["Const."] == "0.558 (1.200)"
 
     def test_tsv_and_md_agree_on_cells(self):
         reports = self.reports()
