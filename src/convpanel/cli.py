@@ -175,7 +175,7 @@ def _simulation_config(args) -> SimulationConfig:
         periods=args.periods,
         b_true=args.b_true,
         intercept=args.intercept,
-        region_effects=args.effect_sd**2,
+        region_effects=args.effect_sd * args.effect_sd,  # ** would raise OverflowError
         noise_sd=args.noise_sd,
         initial_dispersion=args.initial_sd,
     )

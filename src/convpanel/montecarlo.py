@@ -18,6 +18,7 @@ panels whose true convergence rate is known.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -69,6 +70,18 @@ class SimulationConfig:
                 )
         elif self.region_effects < 0.0:
             raise PanelDataError("region-effect variance cannot be negative")
+        finite = {
+            "intercept": self.intercept,
+            "noise standard deviation": self.noise_sd,
+            "initial dispersion": self.initial_dispersion,
+        }
+        if isinstance(self.region_effects, tuple):
+            finite.update((f"region effect {i + 1}", e) for i, e in enumerate(self.region_effects))
+        else:
+            finite["region-effect variance"] = self.region_effects
+        for name, value in finite.items():
+            if not math.isfinite(value):
+                raise PanelDataError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

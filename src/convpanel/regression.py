@@ -1,11 +1,13 @@
 """Deterministic least-squares engine with classical inference.
 
 All estimators in the package reduce to :func:`least_squares` on a
-labeled design matrix. The solver uses a pivoted QR factorization (the
-normal equations are kept for test oracles only), reports classical
-homoskedastic standard errors, a centered-TSS R-squared, and a
-panel-aware Durbin-Watson statistic whose first differences never cross
-region boundaries.
+labeled design matrix. The solver is a column-pivoted Householder QR
+written in numpy (the normal equations are kept for test oracles only);
+it reports classical homoskedastic standard errors, a centered-TSS
+R-squared, and a panel-aware Durbin-Watson statistic whose first
+differences never cross region boundaries. Critical values invert the
+regularized incomplete beta function. The module needs numpy and the
+standard library only.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
-from scipy.special import betaincinv
 
 from .errors import EstimationError, RankDeficientError
 
 # Relative pivot tolerance for declaring a design rank deficient.
 RANK_TOLERANCE = 1e-10
+
+# LAPACK's threshold for recomputing a downdated column norm: sqrt(eps).
+_NORM_RECOMPUTE = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,7 @@ def least_squares(design: DesignMatrix, y: Sequence[float], method: str = "poole
     Raises
     ------
     EstimationError
-        If n <= k.
+        If n <= k, or if the design holds a NaN or an infinity.
     RankDeficientError
         If a pivot falls below ``RANK_TOLERANCE`` relative to the largest
         one; the error names the offending column.
@@ -119,8 +122,10 @@ def least_squares(design: DesignMatrix, y: Sequence[float], method: str = "poole
         raise EstimationError(f"response length {response.shape} does not match {n} design rows")
     if n <= k:
         raise EstimationError(f"need more rows than columns, got n={n}, k={k}")
+    if not np.isfinite(X).all():
+        raise EstimationError("design matrix must be finite")
 
-    Q, R, piv = qr(X, mode="economic", pivoting=True)
+    R, qty, piv = _pivoted_qr(X, response)
     diag = np.abs(np.diag(R))
     if diag[0] == 0.0:
         raise RankDeficientError(design.labels[piv[0]])
@@ -128,10 +133,11 @@ def least_squares(design: DesignMatrix, y: Sequence[float], method: str = "poole
     if bad.size:
         raise RankDeficientError(design.labels[piv[bad[0]]])
 
-    qty = Q.T @ response
-    beta_pivoted = solve_triangular(R, qty)
-    beta = np.empty(k)
-    beta[piv] = beta_pivoted
+    # One back-substitution gives the pivoted coefficients and R^{-1};
+    # reordering the rows by the inverse permutation undoes the pivoting.
+    rhs = np.column_stack([qty, np.eye(k)])
+    solution = _back_substitute(R, rhs)[np.argsort(piv)]
+    beta, r_inv = solution[:, 0], solution[:, 1:]
 
     residuals = response - X @ beta
     sse = float(residuals @ residuals)
@@ -139,9 +145,7 @@ def least_squares(design: DesignMatrix, y: Sequence[float], method: str = "poole
 
     df = n - k
     s2 = sse / df
-    r_inv = solve_triangular(R, np.eye(k))
-    xtx_inv = np.empty((k, k))
-    xtx_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T
+    xtx_inv = r_inv @ r_inv.T
     std_errors = np.sqrt(s2 * np.diag(xtx_inv))
 
     residuals.flags.writeable = False
@@ -160,6 +164,67 @@ def least_squares(design: DesignMatrix, y: Sequence[float], method: str = "poole
         dw=durbin_watson(residuals, design.regions, design.years),
         xtx_inv=xtx_inv,
     )
+
+
+def _pivoted_qr(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Householder QR with column pivoting (Businger & Golub, 1965).
+
+    Returns the k x k factor R, the first k entries of Q'y and the pivot
+    order, with X[:, piv] = Q R. As in LAPACK ``geqp3``, each step pivots
+    on the largest remaining column norm (the first index wins a tie),
+    the norms are downdated from the new row of R and recomputed when
+    cancellation has eaten half their digits, and the reflectors follow
+    ``dlarfg``. The reflectors are applied to y as they are made, so Q is
+    never formed. Columns of X are rows of the work array, with y as its
+    last row, so that every reflection is one matrix-vector product.
+    """
+    n, k = X.shape
+    work = np.empty((k + 1, n))
+    work[:k] = X.T
+    work[k] = y
+    piv = list(range(k))
+    norms = np.sqrt(np.einsum("ij,ij->i", work[:k], work[:k])).tolist()
+    exact = norms[:]  # each norm as last computed in full
+    for j in range(k):
+        p = max(range(j, k), key=norms.__getitem__)
+        if p != j:
+            work[[j, p]] = work[[p, j]]
+            piv[j], piv[p] = piv[p], piv[j]
+            norms[p], exact[p] = norms[j], exact[j]
+        column = work[j, j:]
+        alpha = float(column[0])
+        below = math.sqrt(column[1:] @ column[1:])
+        if below > 0.0:
+            # dlapy2's sqrt(alpha^2 + below^2), not math.hypot: on an exact
+            # dependency LAPACK's rounding decides which column is flagged.
+            big, small = max(abs(alpha), below), min(abs(alpha), below)
+            beta = -math.copysign(big * math.sqrt(1.0 + (small / big) ** 2), alpha)
+            v = column * (1.0 / (alpha - beta))
+            v[0] = 1.0
+            rest = work[j + 1 :, j:]
+            rest -= ((beta - alpha) / beta * (rest @ v))[:, None] * v
+        else:
+            beta = alpha
+        work[j, j] = beta  # work[j:k, j] is now row j of R
+        for col in range(j + 1, k):
+            if norms[col] == 0.0:
+                continue
+            ratio = max(0.0, 1.0 - (abs(work[col, j]) / norms[col]) ** 2)
+            if ratio * (norms[col] / exact[col]) ** 2 <= _NORM_RECOMPUTE:
+                tail = work[col, j + 1 :]
+                norms[col] = exact[col] = math.sqrt(tail @ tail)
+            else:
+                norms[col] *= math.sqrt(ratio)
+    return np.tril(work[:k, :k]).T, work[k, :k].copy(), piv
+
+
+def _back_substitute(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve R Z = rhs for an upper-triangular R with a nonzero diagonal."""
+    solution = np.array(rhs, dtype=float)
+    for i in range(R.shape[0] - 1, -1, -1):
+        solution[i] -= R[i, i + 1 :] @ solution[i + 1 :]
+        solution[i] /= R[i, i]
+    return solution
 
 
 def t_ratios(coefficients: np.ndarray, std_errors: np.ndarray) -> tuple[float, ...]:
@@ -213,19 +278,111 @@ def durbin_watson(
     return float(steps @ steps) / denominator
 
 
+def _normal_upper_quantile(p: float) -> float:
+    """z with P(Z >= z) = p for a standard normal Z and 0 < p <= 1/2:
+    Abramowitz & Stegun 26.2.23, polished by two Newton steps on erfc."""
+    r = math.sqrt(-2.0 * math.log(p))
+    z = r - (2.515517 + r * (0.802853 + r * 0.010328)) / (
+        1.0 + r * (1.432788 + r * (0.189269 + r * 0.001308))
+    )
+    for _ in range(2):
+        z += (0.5 * math.erfc(z / math.sqrt(2.0)) - p) * math.sqrt(2.0 * math.pi) * math.exp(0.5 * z * z)
+    return z
+
+
+def _log_gamma_ratio(a: float) -> float:
+    """log(Gamma(a + 1/2) / Gamma(a)). Above a = 100 the asymptotic series
+    replaces the difference of two large lgamma values, which would
+    cancel away about log10(lgamma(a)) digits."""
+    if a < 100.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    return 0.5 * math.log(a) - 1.0 / (8.0 * a) + 1.0 / (192.0 * a**3)
+
+
+def _beta_fraction(x: float, a: float, b: float) -> float:
+    """Continued fraction of the incomplete beta function, evaluated by
+    the modified Lentz method (Numerical Recipes, 3rd ed., section 6.4);
+    it converges fast for x < (a + 1) / (a + b + 2)."""
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 1000):
+        for numerator in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) <= math.ulp(1.0):
+            break
+    return h
+
+
+def _t_tail(t: float, df: int) -> tuple[float, float]:
+    """P(|T| >= t) for T ~ Student t(df), t > 0, and the density of |T|
+    at t (minus the tail's derivative).
+
+    The tail is the regularized incomplete beta I_x(df/2, 1/2) at
+    x = df/(df + t^2). Both x and 1 - x are formed from t, so neither
+    loses digits to the other; the fraction runs on whichever side of
+    the mean of Beta(df/2, 1/2) it converges fast on.
+    """
+    a = 0.5 * df
+    s = df + t * t
+    x, y = df / s, t * t / s
+    # x^a y^(1/2) / B(a, 1/2), with B(a, 1/2) = Gamma(a) Gamma(1/2) / Gamma(a + 1/2)
+    front = math.exp(
+        _log_gamma_ratio(a) - 0.5 * math.log(math.pi) - a * math.log1p(t * t / df) + 0.5 * math.log(y)
+    )
+    if x < (a + 1.0) / (a + 2.5):
+        tail = front * _beta_fraction(x, a, 0.5) / a
+    else:
+        tail = 1.0 - 2.0 * front * _beta_fraction(y, 0.5, a)
+    return tail, 2.0 * front / t
+
+
 @lru_cache(maxsize=256)
 def t_critical(df: int, level: float = 0.05) -> float:
-    """Two-tailed Student-t critical value.
+    """Two-tailed Student-t critical value: the t with P(|T_df| >= t) = level.
 
-    Solves P(|T_df| >= t) = level by inverting the regularized
-    incomplete beta function: with x = I^{-1}(level; df/2, 1/2) the
-    critical value is sqrt(df (1-x)/x). Accurate to well below 1e-6.
-    Values are cached by (df, level): every coefficient of a fit, and
-    every replication of a Monte Carlo run, asks for the same few.
+    The tail probability is the regularized incomplete beta function
+    I_x(df/2, 1/2) at x = df/(df + t^2) (see :func:`_t_tail`). Newton
+    steps solve tail(t) = level from the normal quantile with its
+    Cornish-Fisher correction (Abramowitz & Stegun 26.7.5), inside a
+    bracket that keeps t in (0, inf), so x stays in (0, 1). The result
+    agrees with the exact quantile to about 1e-13 relative for df up to
+    10^4 (about 1e-11 at 10^6). Values are cached by (df, level): every
+    coefficient of a fit, and every replication of a Monte Carlo run,
+    asks for the same few.
     """
     if df < 1:
         raise EstimationError(f"degrees of freedom must be >= 1, got {df}")
     if not 0.0 < level < 1.0:
         raise EstimationError(f"significance level must lie in (0, 1), got {level}")
-    x = float(betaincinv(df / 2.0, 0.5, level))
-    return math.sqrt(df * (1.0 - x) / x)
+    z = _normal_upper_quantile(0.5 * level)
+    z2 = z * z
+    t = z * (
+        1.0
+        + (z2 + 1.0) / (4.0 * df)
+        + ((5.0 * z2 + 16.0) * z2 + 3.0) / (96.0 * df**2)
+        + (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) / (384.0 * df**3)
+    )
+    low, high = 0.0, math.inf
+    for _ in range(200):
+        tail, density = _t_tail(t, df)
+        if tail > level:
+            low = t
+        else:
+            high = t
+        step = (tail - level) / density
+        if abs(step) <= 1e-8 * t:  # convergence is quadratic: what is left is ~step^2
+            return t + step
+        t += step
+        if not low < t < high:
+            t = 0.5 * (low + high) if high < math.inf else 2.0 * low
+    return t

@@ -1,14 +1,14 @@
 """One-line diagnostics for inputs that used to run wrongly or end in a
 traceback: a repeated ``recover`` method, an input path that cannot be
-read, an ``--out`` path that cannot be written and a negative
-``--effect-sd``."""
+read, an ``--out`` path that cannot be written, a negative
+``--effect-sd`` and non-finite simulation parameters."""
 
 from pathlib import Path
 
 import pytest
 
 from convpanel.cli import main
-from convpanel.errors import EstimationError
+from convpanel.errors import EstimationError, PanelDataError
 from convpanel.montecarlo import SimulationConfig, recovery_experiment
 
 PANEL = ["--input", str(Path(__file__).parent / "golden" / "sim42.csv"), "--sector", "simulated"]
@@ -71,3 +71,23 @@ def test_negative_effect_sd_is_a_data_error(capsys, argv):
 def test_zero_effect_sd_still_runs(capsys):
     code, out, _ = run(capsys, "simulate", "--seed", "1", "--effect-sd", "0")
     assert code == 0 and out.startswith("region,year,sector")
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["recover", "--seed", "1", "--reps", "3", "--intercept", "nan"], "intercept must be finite, got nan"),
+        (["recover", "--seed", "1", "--reps", "3", "--effect-sd", "nan"], "region-effect variance must be finite, got nan"),
+        (["simulate", "--seed", "1", "--initial-sd", "inf"], "initial dispersion must be finite, got inf"),
+        (["simulate", "--seed", "1", "--noise-sd", "inf"], "noise standard deviation must be finite, got inf"),
+        (["simulate", "--seed", "1", "--effect-sd", "1e200"], "region-effect variance must be finite, got inf"),
+    ],
+)
+def test_non_finite_simulation_parameter_is_a_data_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"convpanel: data error: {message}\n")
+
+
+def test_simulation_config_rejects_a_non_finite_region_effect():
+    with pytest.raises(PanelDataError, match="region effect 2 must be finite, got nan"):
+        SimulationConfig(seed=1, regions=3, periods=4, b_true=-0.3, region_effects=(0.1, float("nan"), 0.2))

@@ -1,12 +1,18 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import convpanel
 from convpanel.errors import EstimationError, RankDeficientError
 from convpanel.regression import DesignMatrix, durbin_watson, least_squares, t_critical
 
@@ -85,6 +91,11 @@ class TestLeastSquares:
             least_squares(design(X, ("Const.", "x", "x2")), np.arange(6.0))
         assert err.value.column_label in ("x", "x2")
 
+    def test_non_finite_design_errors(self):
+        X = np.column_stack([np.ones(4), [0.0, 1.0, np.nan, 3.0]])
+        with pytest.raises(EstimationError, match="design matrix must be finite"):
+            least_squares(design(X), np.arange(4.0))
+
     def test_n_not_greater_than_k_errors(self):
         X = np.eye(3)
         with pytest.raises(EstimationError, match="more rows than columns"):
@@ -153,6 +164,75 @@ class TestLeastSquares:
         assert table["x"] == (fit.coef("x"), fit.se("x"), fit.t_stat("x"))
 
 
+# Rank-deficient designs and the column that LAPACK's geqp3 (through
+# scipy.linalg.qr with pivoting) named, recorded before the solver was
+# written in numpy. The pivot takes the largest remaining column norm and
+# the first index wins a tie. In "sum of two" the residual norms of w and
+# z + w agree but for rounding, which the solver reproduces by forming
+# norms and reflectors as LAPACK does.
+_X = np.arange(8.0)
+_Z = np.array([3.0, -1.0, 4.0, 1.0, -5.0, 9.0, 2.0, -6.0])
+_W = np.array([0.5, 2.0, -1.5, 0.0, 1.0, -2.5, 3.0, 1.0])
+_ONE = np.ones(8)
+_ZERO = np.zeros(8)
+RANK_DEFICIENT_DESIGNS = {
+    "zero column": ([_ONE, _X, _ZERO, _Z], ("Const.", "x", "zero", "z"), "zero"),
+    "leading zero column": ([_ZERO, _ONE, _X], ("zero", "Const.", "x"), "zero"),
+    "two zero columns": ([_ZERO, _ONE, _ZERO], ("zero1", "Const.", "zero2"), "zero1"),
+    "all zero": ([_ZERO, _ZERO], ("a", "b"), "a"),
+    "duplicate tie": ([_ONE, _X, _X], ("Const.", "x", "x_copy"), "x_copy"),
+    "duplicate tie first": ([_Z, _Z, _ONE], ("z", "z_copy", "Const."), "z_copy"),
+    "negated tie": ([_ONE, _Z, -_Z], ("Const.", "z", "minus_z"), "minus_z"),
+    "constant tie": ([_ONE, _ONE, _X], ("Const.", "Const.2", "x"), "Const."),
+    "sum of two": ([_Z, _W, _Z + _W], ("z", "w", "z_plus_w"), "w"),
+    "sum of two beside others": (
+        [_ONE, _X, _Z, _X + _Z, _W],
+        ("Const.", "x", "z", "x_plus_z", "w"),
+        "z",
+    ),
+    "1, x, 2x": ([_ONE, _X, 2.0 * _X], ("Const.", "x", "x2"), "x"),
+    "2x, x, 1": ([2.0 * _X, _X, _ONE], ("x2", "x", "Const."), "x"),
+    "x + 1 beside 1 and x": ([_ONE, _X, _X + 1.0], ("Const.", "x", "x_plus_1"), "x"),
+    "column below the tolerance": ([_ONE, _X, 1e-12 * _Z], ("Const.", "x", "tiny"), "tiny"),
+}
+
+
+@pytest.mark.parametrize("name", RANK_DEFICIENT_DESIGNS)
+def test_rank_deficient_label_matches_lapack(name):
+    columns, labels, expected = RANK_DEFICIENT_DESIGNS[name]
+    with pytest.raises(RankDeficientError) as err:
+        least_squares(design(np.column_stack(columns), labels), np.arange(8.0) ** 1.5)
+    assert err.value.column_label == expected
+
+
+def test_coefficients_and_standard_errors_match_normal_equations():
+    rng = np.random.default_rng(8)
+    for trial in range(200):
+        k = trial % 5 + 1
+        n = int(rng.integers(k + 2, 60))
+        X = rng.standard_normal((n, k)) * rng.uniform(0.5, 2.0, size=k)
+        if k > 1 and trial % 2:
+            X[:, 0] = 1.0
+        y = X @ rng.standard_normal(k) + rng.standard_normal(n)
+        fit = least_squares(design(X), y)
+        xtx_inv = np.linalg.inv(X.T @ X)
+        beta = np.linalg.solve(X.T @ X, X.T @ y)
+        resid = y - X @ beta
+        se = np.sqrt((resid @ resid) / (n - k) * np.diag(xtx_inv))
+        assert np.allclose(fit.coefficients, beta, rtol=1e-10, atol=0.0)
+        assert np.allclose(fit.std_errors, se, rtol=1e-10, atol=0.0)
+        assert np.allclose(fit.xtx_inv, xtx_inv, rtol=1e-10, atol=0.0)
+
+
+def test_cli_imports_no_scipy():
+    src = str(Path(convpanel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import convpanel.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 class TestDurbinWatson:
     def test_alternating_residuals(self):
         assert durbin_watson([1.0, -1.0, 1.0, -1.0], ["a"] * 4, [1, 2, 3, 4]) == pytest.approx(3.0)
@@ -201,21 +281,51 @@ class TestDurbinWatson:
             assert 0.0 <= value <= 4.0 + 1e-12
 
 
+LEVELS = (0.01, 0.05, 0.10)
+
+
 class TestTCritical:
     def test_normal_limit(self):
         assert t_critical(10**6, 0.05) == pytest.approx(1.959966, abs=1e-6)
+        # t = z + (z^3 + z)/(4 df) + O(df^-2); the O(df^-2) term is below 1e-11 here.
+        for level in LEVELS:
+            z = NormalDist().inv_cdf(1.0 - level / 2.0)
+            expected = z + (z**3 + z) / (4.0 * 10**6)
+            assert t_critical(10**6, level) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     def test_df_38(self):
         assert t_critical(38, 0.05) == pytest.approx(2.024394, abs=1e-6)
 
     def test_df_1_closed_form(self):
-        assert t_critical(1, 0.10) == pytest.approx(math.tan(math.pi * 0.45), abs=1e-6)
+        # the Cauchy quantile
+        for level in LEVELS:
+            expected = math.tan(math.pi * (1.0 - level) / 2.0)
+            assert t_critical(1, level) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     def test_df_2_closed_form(self):
         # t*(2, a) = sqrt(2/(a(2-a)) - 2)
-        for level in (0.05, 0.10):
+        for level in LEVELS:
             expected = math.sqrt(2.0 / (level * (2.0 - level)) - 2.0)
-            assert t_critical(2, level) == pytest.approx(expected, abs=1e-9)
+            assert t_critical(2, level) == pytest.approx(expected, abs=1e-9)  # values > 1: rel < 1e-9
+
+    def test_df_4_closed_form(self):
+        # t*(4, a) = 2 sqrt(q - 1) with q = cos(arccos(sqrt(b))/3)/sqrt(b), b = a(2-a)
+        for level in LEVELS:
+            b = level * (2.0 - level)
+            q = math.cos(math.acos(math.sqrt(b)) / 3.0) / math.sqrt(b)
+            assert t_critical(4, level) == pytest.approx(2.0 * math.sqrt(q - 1.0), rel=1e-9, abs=0.0)
+
+    # Two-tailed critical values as printed (three decimals) in standard t tables.
+    PRINTED = {
+        0.10: {1: 6.314, 5: 2.015, 10: 1.812, 30: 1.697, 120: 1.658},
+        0.05: {1: 12.706, 2: 4.303, 3: 3.182, 5: 2.571, 10: 2.228, 20: 2.086, 30: 2.042, 60: 2.000, 120: 1.980},
+        0.01: {1: 63.657, 5: 4.032, 10: 3.169, 30: 2.750, 120: 2.617},
+    }
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_printed_table(self, level):
+        for df, value in self.PRINTED[level].items():
+            assert t_critical(df, level) == pytest.approx(value, abs=5e-4)
 
     def test_invalid_df(self):
         with pytest.raises(EstimationError):
