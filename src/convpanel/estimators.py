@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +55,7 @@ class ModelSpec:
         """Number of slope coefficients (lagged level + structural)."""
         return 1 + len(self.structural)
 
-    @property
+    @cached_property
     def slope_labels(self) -> tuple[str, ...]:
         return tuple(f"Coef.{i + 1}" for i in range(self.slope_count))
 
@@ -137,8 +138,8 @@ def _within_fit(sample: GrowthSample, spec: ModelSpec) -> FitResult:
     y_within, slopes_within = sample.demeaned()
     # a regressor constant within every region demeans to rounding noise,
     # which only its norm before demeaning can tell from variation
-    norms = np.linalg.norm(slopes_within, axis=0)
-    absorbed = norms <= RANK_TOLERANCE * np.linalg.norm(slopes, axis=0)
+    squares = np.einsum("ij,ij->j", slopes_within, slopes_within)
+    absorbed = np.sqrt(squares) <= RANK_TOLERANCE * np.sqrt(np.einsum("ij,ij->j", slopes, slopes))
     if absorbed.any():
         raise RankDeficientError(spec.slope_labels[np.flatnonzero(absorbed)[0]])
     design = DesignMatrix(slopes_within, spec.slope_labels, sample.rows.code, sample.rows.year)
@@ -169,10 +170,10 @@ def fit_lsdv(sample: GrowthSample, spec: ModelSpec) -> FitResult:
     alpha = means_y - means_x @ b
     se_alpha = np.sqrt(s2 / counts + np.einsum("ij,jk,ik->i", means_x, cov_b, means_x))
     coefficients = np.concatenate([alpha, b])
-    std_errors = np.concatenate([se_alpha, np.sqrt(np.diag(cov_b))])
+    std_errors = np.concatenate([se_alpha, np.sqrt(cov_b.diagonal())])
     tss, r2 = r_squared(within.sse, sample.y)
 
-    single = [region for region, count in zip(sample.regions, counts) if count == 1]
+    single = [region for region, count in zip(sample.regions, counts.tolist()) if count == 1]
     for region in single:
         warnings.warn(
             f"region {region!r} contributes a single row; its dummy absorbs it",
@@ -208,7 +209,7 @@ def estimate_variance_components(sample: GrowthSample, spec: ModelSpec) -> Varia
     r = counts.size
     sigma2_e = within.sse / (within.df_residual - r)
     y = sample.y
-    if sigma2_e <= 1e-24 * (1.0 + float(np.mean(y * y))):
+    if sigma2_e <= 1e-24 * (1.0 + float(y @ y) / y.size):
         raise EstimationError(
             "degenerate panel: within fit is (numerically) exact, "
             "idiosyncratic variance is zero"
@@ -282,7 +283,7 @@ def fit_gls_random_effects(
     y_star, slopes_star = sample.demeaned(theta_regions)
     intercept_star = 1.0 - theta_regions[sample.rows.code]
 
-    if np.all(intercept_star == 0.0):
+    if not intercept_star.any():
         X = slopes_star
         labels = spec.slope_labels
         flags = flags + ("intercept_dropped",)

@@ -525,7 +525,12 @@ def render_location_quotients(panel: PanelDataset, fmt: str = "md") -> str:
 
 
 def render_recovery(stats: RecoveryStats, fmt: str = "md") -> str:
-    """Monte Carlo recovery summary, one row per estimation method."""
+    """Monte Carlo recovery summary, one row per estimation method.
+
+    JSON rows also carry the Monte Carlo standard errors of the bias,
+    sd/sqrt(reps), and of the coverage share p, sqrt(p(1 - p)/reps).
+    """
+    reps = stats.replications
     rows = [
         {
             "method": method,
@@ -533,6 +538,10 @@ def render_recovery(stats: RecoveryStats, fmt: str = "md") -> str:
             "mean_bias": stats.mean_bias[method],
             "sd": stats.sd[method],
             "coverage95": stats.coverage[method],
+            "bias_mc_se": stats.sd[method] / math.sqrt(reps),
+            "coverage_mc_se": math.sqrt(
+                stats.coverage[method] * (1.0 - stats.coverage[method]) / reps
+            ),
         }
         for method in stats.methods
     ]

@@ -19,7 +19,7 @@ panels whose true convergence rate is known.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import EstimationError, PanelDataError
 from .estimators import METHODS, ModelSpec
 from .estimators import fit_method as _fit  # the loop's seam: tests patch in a failing fit
-from .panel import CellGrid, PanelDataset, build_growth_sample
+from .panel import CellGrid, GrowthColumns, GrowthSample, PanelDataset
 from .regression import t_critical
 
 
@@ -53,6 +53,8 @@ class SimulationConfig:
     initial_dispersion: float = 1.5
 
     def __post_init__(self):
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise PanelDataError(f"seed must be a non-negative integer, got {self.seed}")
         if self.regions < 2:
             raise PanelDataError(f"need at least 2 regions, got {self.regions}")
         if self.periods < 3:
@@ -115,7 +117,17 @@ def simulate_panel(config: SimulationConfig) -> PanelDataset:
     Years run 1..periods; levels are exponentiated log values, so every
     cell is positive and the panel is balanced.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
+    regions = _region_names(config.regions)
+    log_p = _log_levels(config, config.seed)
+    periods = tuple(range(1, config.periods + 1))
+    levels = CellGrid(regions, periods, _checked_levels(log_p, regions))
+    return PanelDataset(regions, periods, "simulated", levels)
+
+
+def _log_levels(config: SimulationConfig, seed: int) -> np.ndarray:
+    """The regions x periods log levels drawn from ``seed`` (in place of
+    ``config.seed``)."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     r, t = config.regions, config.periods
     if isinstance(config.region_effects, tuple):
         effects = np.asarray(config.region_effects, dtype=float)
@@ -126,25 +138,59 @@ def simulate_panel(config: SimulationConfig) -> PanelDataset:
         anchors = (config.intercept + effects) / (-config.b_true)
     else:
         anchors = np.zeros(r)
-    log_p = np.empty((r, t))
-    log_p[:, 0] = anchors + config.initial_dispersion * rng.standard_normal(r)
-    shocks = config.noise_sd * rng.standard_normal((r, t - 1))
-    for j in range(1, t):
-        log_p[:, j] = (
-            config.intercept
-            + effects
-            + (1.0 + config.b_true) * log_p[:, j - 1]
-            + shocks[:, j - 1]
-        )
+    by_year = np.empty((t, r))  # year-major, so each step writes one contiguous row
+    by_year[0] = anchors + config.initial_dispersion * rng.standard_normal(r)
+    shocks = (config.noise_sd * rng.standard_normal((r, t - 1))).T
+    drift, persistence = config.intercept + effects, 1.0 + config.b_true
+    for previous, year, shock in zip(by_year, by_year[1:], shocks):
+        # drift + persistence * previous + shock, added in place in that order
+        np.multiply(previous, persistence, out=year)
+        year += drift
+        year += shock
+    return by_year.T
 
-    regions, periods = _region_names(r), tuple(range(1, t + 1))
+
+def _checked_levels(log_p: np.ndarray, regions: tuple[str, ...]) -> np.ndarray:
+    """exp(log_p), every level positive and finite.
+
+    A level that is not fails as the panel's own check would: the first
+    NaN if there is one, else the first infinite or zero level, in
+    region-then-year order.
+    """
     with np.errstate(over="ignore"):  # an overflow is reported as the infinite cell it makes
         levels = np.exp(log_p)
-    if np.isnan(levels).any():  # a NaN would read as an absent cell
-        i, j = np.argwhere(np.isnan(levels))[0].tolist()
-        cell = (regions[i], periods[j])
-        raise PanelDataError(f"output per worker must be positive and finite, got nan at {cell}")
-    return PanelDataset(regions, periods, "simulated", CellGrid(regions, periods, levels))
+    if np.isfinite(levels).all() and levels.all():
+        return levels
+    bad = np.isnan(levels)
+    if not bad.any():
+        bad = (levels <= 0.0) | (levels == np.inf)
+    i, j = np.argwhere(bad)[0].tolist()
+    raise PanelDataError(
+        "output per worker must be positive and finite, "
+        f"got {levels[i, j].item()!r} at {(regions[i], j + 1)}"
+    )
+
+
+def _growth_sample(
+    log_p: np.ndarray, regions: tuple[str, ...], code: np.ndarray, year: np.ndarray
+) -> GrowthSample:
+    """The growth sample ``build_growth_sample`` makes of a simulated
+    panel, taken from its log levels: each region's transitions in year
+    order, with response log P_t - log P_{t-1} and regressor log P_{t-1}.
+    ``code`` and ``year`` are the rows' region indices and end years."""
+    r, t = log_p.shape
+    block = np.empty((r, t - 1, 2))
+    np.subtract(log_p[:, 1:], log_p[:, :-1], out=block[..., 0])
+    block[..., 1] = log_p[:, :-1]
+    return GrowthSample(
+        rows=GrowthColumns(regions, code, year, block.reshape(-1, 2)),
+        structural_names=(),
+        regions=regions,
+        panel_regions=regions,
+        sector="simulated",
+        dropped_transitions=0,
+        source_cell_count=log_p.size,
+    )
 
 
 def recovery_experiment(
@@ -177,15 +223,21 @@ def recovery_experiment(
         raise EstimationError(f"methods must be unique, got {methods}")
 
     child_seeds = np.random.SeedSequence(config.seed).generate_state(replications, np.uint64)
+    regions = _region_names(config.regions)
+    # every replication's sample has these rows, so they are laid out once
+    code = np.repeat(np.arange(config.regions), config.periods - 1)
+    year = np.tile(np.arange(2, config.periods + 1), config.regions)
+    code.flags.writeable = year.flags.writeable = False
+    specs = {method: ModelSpec(method=method) for method in methods}
     estimates: dict[str, list[float]] = {method: [] for method in methods}
     covered: dict[str, int] = {method: 0 for method in methods}
-    for index in range(replications):
-        rep_config = replace(config, seed=int(child_seeds[index]))
-        panel = simulate_panel(rep_config)
-        sample = build_growth_sample(panel)
+    for index, seed in enumerate(child_seeds.tolist()):
+        log_p = _log_levels(config, seed)
+        _checked_levels(log_p, regions)
+        sample = _growth_sample(log_p, regions, code, year)
         for method in methods:
             try:
-                fit = _fit(method, sample, ModelSpec(method=method))
+                fit = _fit(method, sample, specs[method])
             except Exception as error:
                 raise EstimationError(f"replication {index} failed for {method}: {error}") from error
             b_hat = fit.coef("Coef.1")

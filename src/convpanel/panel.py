@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import count, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -196,7 +197,10 @@ class GrowthSample:
 
     ``fits`` holds fits derived from the sample, so that estimators
     sharing one (the within fit behind LSDV and GLS) compute it once;
-    it takes no part in construction, equality or ``replace``.
+    it takes no part in construction, equality or ``replace``. The
+    region counts and region means are likewise computed once, on first
+    use, and shared by the within fit, LSDV, the variance components
+    and GLS.
     """
 
     rows: Sequence[GrowthRow]
@@ -238,14 +242,16 @@ class GrowthSample:
         """The n x (1 + m) slope block: lagged log level, then structural."""
         return self.rows.data[:, 1:]
 
-    @property
+    @cached_property
     def region_counts(self) -> np.ndarray:
         """Rows per region, in ``regions`` order."""
-        return np.bincount(self.rows.code, minlength=len(self.regions)).astype(float)
+        counts = np.bincount(self.rows.code, minlength=len(self.regions)).astype(float)
+        counts.flags.writeable = False
+        return counts
 
     def region_means(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-region means of y (length R) and of the slope block (R x (1 + m))."""
-        means = self._data_means()
+        means = self._data_means
         return means[:, 0], means[:, 1:]
 
     def demeaned(self, theta: float | np.ndarray = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -254,14 +260,16 @@ class GrowthSample:
         ``theta`` is one weight per region, or one for all; 1 gives the
         within transform.
         """
-        weights = np.broadcast_to(theta, (len(self.regions),))[:, None]
-        star = self.rows.data - (weights * self._data_means())[self.rows.code]
+        star = self.rows.data - (np.reshape(theta, (-1, 1)) * self._data_means)[self.rows.code]
         return star[:, 0], star[:, 1:]
 
+    @cached_property
     def _data_means(self) -> np.ndarray:
         counts = self.region_counts
         sums = [np.bincount(self.rows.code, column, counts.size) for column in self.rows.data.T]
-        return np.column_stack(sums) / counts[:, None]
+        means = np.column_stack(sums) / counts[:, None]
+        means.flags.writeable = False
+        return means
 
 
 @dataclass(frozen=True)

@@ -126,17 +126,19 @@ def least_squares(design: DesignMatrix, y: Sequence[float], method: str = "poole
         raise EstimationError("design matrix must be finite")
 
     R, qty, piv = _pivoted_qr(X, response)
-    diag = np.abs(np.diag(R))
+    diag = np.abs(R.diagonal()).tolist()
     if diag[0] == 0.0:
         raise RankDeficientError(design.labels[piv[0]])
-    bad = np.nonzero(diag < RANK_TOLERANCE * diag[0])[0]
-    if bad.size:
-        raise RankDeficientError(design.labels[piv[bad[0]]])
+    for j, pivot in enumerate(diag):
+        if pivot < RANK_TOLERANCE * diag[0]:
+            raise RankDeficientError(design.labels[piv[j]])
 
     # One back-substitution gives the pivoted coefficients and R^{-1};
-    # reordering the rows by the inverse permutation undoes the pivoting.
-    rhs = np.column_stack([qty, np.eye(k)])
-    solution = _back_substitute(R, rhs)[np.argsort(piv)]
+    # writing the rows back to their pivot positions undoes the pivoting.
+    rhs = np.eye(k, k + 1, 1)
+    rhs[:, 0] = qty
+    solution = np.empty((k, k + 1))
+    solution[piv] = _back_substitute(R, rhs)
     beta, r_inv = solution[:, 0], solution[:, 1:]
 
     residuals = response - X @ beta
@@ -144,17 +146,16 @@ def least_squares(design: DesignMatrix, y: Sequence[float], method: str = "poole
     tss, r2 = r_squared(sse, response)
 
     df = n - k
-    s2 = sse / df
     xtx_inv = r_inv @ r_inv.T
-    std_errors = np.sqrt(s2 * np.diag(xtx_inv))
+    std_errors = np.sqrt(sse / df * xtx_inv.diagonal())
 
     residuals.flags.writeable = False
     xtx_inv.flags.writeable = False
     return FitResult(
         method=method,
         labels=design.labels,
-        coefficients=tuple(float(b) for b in beta),
-        std_errors=tuple(float(s) for s in std_errors),
+        coefficients=tuple(beta.tolist()),
+        std_errors=tuple(std_errors.tolist()),
         t_stats=t_ratios(beta, std_errors),
         residuals=residuals,
         sse=sse,
@@ -169,14 +170,15 @@ def least_squares(design: DesignMatrix, y: Sequence[float], method: str = "poole
 def _pivoted_qr(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Householder QR with column pivoting (Businger & Golub, 1965).
 
-    Returns the k x k factor R, the first k entries of Q'y and the pivot
-    order, with X[:, piv] = Q R. As in LAPACK ``geqp3``, each step pivots
-    on the largest remaining column norm (the first index wins a tie),
-    the norms are downdated from the new row of R and recomputed when
-    cancellation has eaten half their digits, and the reflectors follow
-    ``dlarfg``. The reflectors are applied to y as they are made, so Q is
-    never formed. Columns of X are rows of the work array, with y as its
-    last row, so that every reflection is one matrix-vector product.
+    Returns the k x k factor R (only its upper triangle is meaningful),
+    the first k entries of Q'y and the pivot order, with X[:, piv] = Q R.
+    As in LAPACK ``geqp3``, each step pivots on the largest remaining
+    column norm (the first index wins a tie), the norms are downdated
+    from the new row of R and recomputed when cancellation has eaten half
+    their digits, and the reflectors follow ``dlarfg``. The reflectors
+    are applied to y as they are made, so Q is never formed. Columns of X
+    are rows of the work array, with y as its last row, so that every
+    reflection is one matrix-vector product.
     """
     n, k = X.shape
     work = np.empty((k + 1, n))
@@ -215,21 +217,23 @@ def _pivoted_qr(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, l
                 norms[col] = exact[col] = math.sqrt(tail @ tail)
             else:
                 norms[col] *= math.sqrt(ratio)
-    return np.tril(work[:k, :k]).T, work[k, :k].copy(), piv
+    return work[:k, :k].T, work[k, :k], piv
 
 
 def _back_substitute(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve R Z = rhs for an upper-triangular R with a nonzero diagonal."""
-    solution = np.array(rhs, dtype=float)
+    """Solve R Z = rhs in place for R with a nonzero diagonal, reading
+    only its upper triangle."""
     for i in range(R.shape[0] - 1, -1, -1):
-        solution[i] -= R[i, i + 1 :] @ solution[i + 1 :]
-        solution[i] /= R[i, i]
-    return solution
+        rhs[i] -= R[i, i + 1 :] @ rhs[i + 1 :]
+        rhs[i] /= R[i, i]
+    return rhs
 
 
 def t_ratios(coefficients: np.ndarray, std_errors: np.ndarray) -> tuple[float, ...]:
     """Coefficient over standard error; a zero standard error gives a
     signed infinity (NaN for a zero coefficient)."""
+    if (std_errors > 0.0).all():
+        return tuple((coefficients / std_errors).tolist())
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(std_errors > 0.0, coefficients / std_errors, np.inf * np.sign(coefficients))
     return tuple(float(value) for value in t)
@@ -241,7 +245,7 @@ def r_squared(sse: float, response: np.ndarray) -> tuple[float, float]:
     A constant response (TSS 0) counts as fully explained by a perfect
     fit and not at all otherwise.
     """
-    mean = float(response.mean())
+    mean = float(response.sum() / response.size)  # what response.mean() computes
     tss = float(((response - mean) ** 2).sum())
     if tss > 0.0:
         return tss, float(1.0 - sse / tss)
@@ -269,12 +273,25 @@ def durbin_watson(
     if denominator == 0.0:
         return None
 
-    codes = np.unique(np.asarray(regions), return_inverse=True)[1].reshape(-1)
-    order = np.lexsort((np.asarray(years), codes))
-    within = codes[order][1:] == codes[order][:-1]
+    codes, years = np.asarray(regions), np.asarray(years)
+    if codes.dtype.kind in "iu":
+        within = codes[1:] == codes[:-1]
+        if (codes[1:] >= codes[:-1]).all() and (years[1:] > years[:-1])[within].all():
+            # already grouped by code and in strict year order: the sort
+            # below would return the rows as they are
+            return _dw_ratio(res, within, denominator)
+    codes = np.unique(codes, return_inverse=True)[1].reshape(-1)
+    order = np.lexsort((years, codes))
+    codes = codes[order]
+    return _dw_ratio(res[order], codes[1:] == codes[:-1], denominator)
+
+
+def _dw_ratio(ordered: np.ndarray, within: np.ndarray, denominator: float) -> float | None:
+    """Squared first differences of ``ordered`` where ``within`` marks a
+    pair of rows from one region, over ``denominator``."""
     if not within.any():
         return None
-    steps = np.diff(res[order])[within]
+    steps = (ordered[1:] - ordered[:-1])[within]
     return float(steps @ steps) / denominator
 
 

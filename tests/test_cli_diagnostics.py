@@ -1,7 +1,7 @@
 """One-line diagnostics for inputs that used to run wrongly or end in a
 traceback: a repeated ``recover`` method, an input path that cannot be
 read, an ``--out`` path that cannot be written, a negative
-``--effect-sd`` and non-finite simulation parameters."""
+``--effect-sd`` or ``--seed`` and non-finite simulation parameters."""
 
 from pathlib import Path
 
@@ -91,3 +91,15 @@ def test_non_finite_simulation_parameter_is_a_data_error(capsys, argv, message):
 def test_simulation_config_rejects_a_non_finite_region_effect():
     with pytest.raises(PanelDataError, match="region effect 2 must be finite, got nan"):
         SimulationConfig(seed=1, regions=3, periods=4, b_true=-0.3, region_effects=(0.1, float("nan"), 0.2))
+
+
+@pytest.mark.parametrize("argv", [["recover", "--reps", "2"], ["simulate"]])
+def test_negative_seed_is_a_data_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    message = "convpanel: data error: seed must be a non-negative integer, got -1\n"
+    assert (code, out, err) == (2, "", message)
+
+
+def test_simulation_config_rejects_a_negative_seed():
+    with pytest.raises(PanelDataError, match="seed must be a non-negative integer, got -5"):
+        SimulationConfig(seed=-5, regions=3, periods=4, b_true=-0.3)
