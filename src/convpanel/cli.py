@@ -228,8 +228,12 @@ _COMMANDS = {
 }
 
 
+# built once: setting up the parser costs about a millisecond, a large share of a small command
+_PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"convpanel: warning: {message}\n"
     try:

@@ -198,10 +198,10 @@ def estimate_variance_components(sample: GrowthSample, spec: ModelSpec) -> Varia
 
     sigma2_e is the within (LSDV) residual variance on n - R - slopes
     degrees of freedom. The between regression runs on the R region
-    means with an intercept; its residual variance estimates
-    sigma2_u + sigma2_e / T, so sigma2_u is recovered by subtracting
-    sigma2_e over the harmonic mean of the region sizes (exact for
-    balanced panels) and truncating at zero.
+    means with an intercept; its residual variance, on R - rank degrees
+    of freedom, estimates sigma2_u + sigma2_e / T, so sigma2_u is
+    recovered by subtracting sigma2_e over the harmonic mean of the
+    region sizes (exact for balanced panels) and truncating at zero.
     """
     _check_sample(sample, spec)
     within = _within_fit(sample, spec)
@@ -221,14 +221,14 @@ def estimate_variance_components(sample: GrowthSample, spec: ModelSpec) -> Varia
         raise EstimationError(
             f"between regression infeasible: {r} regions for {k_between} parameters"
         )
-    between_df = r - k_between
+    Xb = np.column_stack([np.ones(r), means_x])
+    beta, _, rank, _ = np.linalg.lstsq(Xb, means_y, rcond=None)
+    between_df = r - int(rank)
     if between_df == 0:
         # exact between fit: no information about the region-effect
         # variance, so the GLS transform degenerates to pooled OLS
         sigma2_between = 0.0
     else:
-        Xb = np.column_stack([np.ones(r), means_x])
-        beta, *_ = np.linalg.lstsq(Xb, means_y, rcond=None)
         resid = means_y - Xb @ beta
         sigma2_between = float(resid @ resid) / between_df
     t_harmonic = r / float((1.0 / counts).sum())

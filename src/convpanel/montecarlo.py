@@ -13,7 +13,9 @@ results are bit-identical regardless of execution order.
 
 The recovery experiment substitutes for the unpublished source data: it
 measures bias, spread and confidence coverage of each estimator on
-panels whose true convergence rate is known.
+panels whose true convergence rate is known. Each replication's sample
+comes from its log levels through the one builder,
+``panel.growth_sample_from_logs``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .errors import EstimationError, PanelDataError
 from .estimators import METHODS, ModelSpec
 from .estimators import fit_method as _fit  # the loop's seam: tests patch in a failing fit
-from .panel import CellGrid, GrowthColumns, GrowthSample, PanelDataset
+from .panel import CellGrid, PanelDataset, growth_sample_from_logs
 from .regression import t_critical
 
 
@@ -171,28 +173,6 @@ def _checked_levels(log_p: np.ndarray, regions: tuple[str, ...]) -> np.ndarray:
     )
 
 
-def _growth_sample(
-    log_p: np.ndarray, regions: tuple[str, ...], code: np.ndarray, year: np.ndarray
-) -> GrowthSample:
-    """The growth sample ``build_growth_sample`` makes of a simulated
-    panel, taken from its log levels: each region's transitions in year
-    order, with response log P_t - log P_{t-1} and regressor log P_{t-1}.
-    ``code`` and ``year`` are the rows' region indices and end years."""
-    r, t = log_p.shape
-    block = np.empty((r, t - 1, 2))
-    np.subtract(log_p[:, 1:], log_p[:, :-1], out=block[..., 0])
-    block[..., 1] = log_p[:, :-1]
-    return GrowthSample(
-        rows=GrowthColumns(regions, code, year, block.reshape(-1, 2)),
-        structural_names=(),
-        regions=regions,
-        panel_regions=regions,
-        sector="simulated",
-        dropped_transitions=0,
-        source_cell_count=log_p.size,
-    )
-
-
 def recovery_experiment(
     config: SimulationConfig,
     replications: int,
@@ -224,17 +204,14 @@ def recovery_experiment(
 
     child_seeds = np.random.SeedSequence(config.seed).generate_state(replications, np.uint64)
     regions = _region_names(config.regions)
-    # every replication's sample has these rows, so they are laid out once
-    code = np.repeat(np.arange(config.regions), config.periods - 1)
-    year = np.tile(np.arange(2, config.periods + 1), config.regions)
-    code.flags.writeable = year.flags.writeable = False
+    periods = tuple(range(1, config.periods + 1))
     specs = {method: ModelSpec(method=method) for method in methods}
     estimates: dict[str, list[float]] = {method: [] for method in methods}
     covered: dict[str, int] = {method: 0 for method in methods}
     for index, seed in enumerate(child_seeds.tolist()):
         log_p = _log_levels(config, seed)
         _checked_levels(log_p, regions)
-        sample = _growth_sample(log_p, regions, code, year)
+        sample = growth_sample_from_logs(log_p, regions, periods, "simulated")
         for method in methods:
             try:
                 fit = _fit(method, sample, specs[method])

@@ -4,13 +4,14 @@ A :class:`PanelDataset` holds output-per-worker observations for one
 sector on a region x year grid (cells may be missing). Each of its
 columns is a :class:`CellGrid`: a read-only (region, year) -> value
 mapping over one regions x periods array, NaN where a cell is absent.
-From it we build the regression sample for the growth equation
+The regression sample for the growth equation
 
     dlog(P_it) = c + b * log(P_i,t-1) + v_it
 
-one row per region-transition between consecutive years, and the
-per-year cross-sectional dispersion of log productivity used for
-sigma-convergence. Both read the arrays behind the mappings.
+has one row per region-transition between consecutive years; its one
+builder, :func:`growth_sample_from_logs`, serves panels and Monte Carlo
+replications alike. :func:`sigma_dispersion` gives the per-year
+dispersion of log productivity used for sigma-convergence.
 """
 
 from __future__ import annotations
@@ -289,19 +290,14 @@ def build_growth_sample(
     panel: PanelDataset,
     structural_names: Iterable[str] = (),
 ) -> GrowthSample:
-    """Construct the growth regression sample from a panel.
-
-    A row exists for every (region, year t) such that both P_{i,t} and
-    P_{i,t-1} are present and t-1 is the preceding year in the panel's
-    period list (annual transitions only). The response is
-    log(P_{i,t}) - log(P_{i,t-1}), the regressor is log(P_{i,t-1}), and
-    structural regressors are dated t-1 (start of transition).
+    """The growth regression sample of ``panel``: the structural names
+    are checked, then :func:`growth_sample_from_logs` builds it.
 
     Raises
     ------
     PanelDataError
-        If no usable transition exists, or a requested structural value
-        is missing on a usable transition.
+        If a structural name is repeated or not in the panel, or as
+        :func:`growth_sample_from_logs` does.
     """
     names = tuple(structural_names)
     if len(set(names)) != len(names):
@@ -309,42 +305,66 @@ def build_growth_sample(
     for name in names:
         if name not in panel.structural:
             raise PanelDataError(f"panel has no structural variable {name!r}")
-
+    structural = {name: panel.structural[name].grid for name in names}
     logs = np.log(panel.values.grid)
+    return growth_sample_from_logs(logs, panel.regions, panel.periods, panel.sector, structural)
+
+
+def growth_sample_from_logs(
+    logs: np.ndarray,
+    regions: tuple[str, ...],
+    periods: tuple[int, ...],
+    sector: str,
+    structural: Mapping[str, np.ndarray] | None = None,
+) -> GrowthSample:
+    """The growth regression sample of a regions x periods grid of log
+    levels, NaN where a cell is absent: a row for each (region, year t)
+    with P_{i,t} and P_{i,t-1} present and t-1 the year before t in
+    ``periods`` (annual transitions only). The response is
+    log(P_{i,t}) - log(P_{i,t-1}), the regressor log(P_{i,t-1}), and each
+    ``structural`` grid of the same shape, in order, gives a regressor
+    dated t-1. ``source_cell_count`` counts the present cells.
+
+    Raises
+    ------
+    PanelDataError
+        If no usable transition exists, or a structural value is missing
+        on a usable transition.
+    """
+    names = tuple(structural or ())
     present = ~np.isnan(logs)
-    periods = np.array(panel.periods)
-    annual = periods[1:] - periods[:-1] == 1
+    years = np.array(periods)
+    annual = years[1:] - years[:-1] == 1
     starts, ends = present[:, :-1] & annual, present[:, 1:] & annual
     usable = starts & ends
     region, step = usable.nonzero()
     if not region.size:
         raise PanelDataError(
-            f"no usable transitions in sector {panel.sector!r}: "
+            f"no usable transitions in sector {sector!r}: "
             "every consecutive-year pair is missing at least one endpoint"
         )
     x = logs[region, step]
     block = np.column_stack(
-        [logs[region, step + 1] - x, x]
-        + [panel.structural[name].grid[region, step] for name in names]
+        [logs[region, step + 1] - x, x] + [structural[name][region, step] for name in names]
     )
     if names and np.isnan(block[:, 2:]).any():
         i, k = np.argwhere(np.isnan(block[:, 2:]))[0]
-        prev, year = panel.periods[step[i]], panel.periods[step[i] + 1]
+        prev, year = periods[step[i]], periods[step[i] + 1]
         raise PanelDataError(
-            f"missing structural value {names[k]!r} for region {panel.regions[region[i]]!r} "
+            f"missing structural value {names[k]!r} for region {regions[region[i]]!r} "
             f"at year {prev} (needed by the {prev}->{year} transition)"
         )
     has_rows = usable.any(axis=1)
-    contributing = tuple(r for r, keep in zip(panel.regions, has_rows.tolist()) if keep)
+    contributing = tuple(r for r, keep in zip(regions, has_rows.tolist()) if keep)
     code = (np.cumsum(has_rows) - 1)[region]
     return GrowthSample(
-        rows=GrowthColumns(contributing, code, periods[step + 1], block),
+        rows=GrowthColumns(contributing, code, years[step + 1], block),
         structural_names=names,
         regions=contributing,
-        panel_regions=panel.regions,
-        sector=panel.sector,
+        panel_regions=regions,
+        sector=sector,
         dropped_transitions=int(np.count_nonzero(starts ^ ends)),
-        source_cell_count=panel.cell_count,
+        source_cell_count=int(np.count_nonzero(present)),
     )
 
 

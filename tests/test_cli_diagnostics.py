@@ -1,5 +1,6 @@
 """One-line diagnostics for inputs that used to run wrongly or end in a
-traceback: a repeated ``recover`` method, an input path that cannot be
+traceback: a repeated or unknown ``recover`` method, a structural
+regressor named twice through its alias, an input path that cannot be
 read, an ``--out`` path that cannot be written, a negative
 ``--effect-sd`` or ``--seed`` and non-finite simulation parameters."""
 
@@ -9,6 +10,7 @@ import pytest
 
 from convpanel.cli import main
 from convpanel.errors import EstimationError, PanelDataError
+from convpanel.estimators import METHODS
 from convpanel.montecarlo import SimulationConfig, recovery_experiment
 
 PANEL = ["--input", str(Path(__file__).parent / "golden" / "sim42.csv"), "--sector", "simulated"]
@@ -27,6 +29,19 @@ def test_repeated_recover_method_is_a_data_error(capsys):
     argv = ["recover", "--seed", "1", "--reps", "20", "--methods", "pooled,pooled"]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "convpanel: data error: methods must be unique\n")
+
+
+def test_unknown_recover_method_is_a_data_error(capsys):
+    argv = ["recover", "--seed", "1", "--reps", "2", "--methods", "pooled,foo"]
+    code, out, err = run(capsys, *argv)
+    message = f"convpanel: data error: unknown method 'foo'; expected subset of {METHODS}\n"
+    assert (code, out, err) == (2, "", message)
+
+
+def test_structural_regressor_named_twice_through_its_alias_is_a_data_error(capsys):
+    argv = ["fit", *PANEL, "--conditional", "capital_output,capital_output_ratio"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "convpanel: data error: structural regressors must be unique\n")
 
 
 def test_recovery_experiment_rejects_repeated_methods():

@@ -218,6 +218,27 @@ class TestGls:
         with pytest.raises(EstimationError, match="degenerate"):
             fit_gls_random_effects(sample, ModelSpec(method="gls"))
 
+    def test_between_df_counts_the_rank_of_a_deficient_design(self):
+        # a time trend common to every region has the same mean in each,
+        # so the between design [1, mean lag, mean trend] has rank 2
+        config = SimulationConfig(seed=5, regions=6, periods=8, b_true=-0.3, region_effects=0.25)
+        simulated = simulate_panel(config)
+        names = ("capital_output_ratio",)
+        trend = {cell: float(cell[1]) for cell in simulated.values}
+        panel = PanelDataset(simulated.regions, simulated.periods, "x", simulated.values,
+                             {names[0]: trend})
+        sample = build_growth_sample(panel, names)
+        components = estimate_variance_components(sample, ModelSpec(method="gls", structural=names))
+        assert components.between_df == 4
+
+        # the trend column adds nothing to the full-rank [1, mean lag] fit
+        means_y, means_x = sample.region_means()
+        design = np.column_stack([np.ones(6), means_x[:, 0]])
+        resid = means_y - design @ np.linalg.lstsq(design, means_y, rcond=None)[0]
+        sigma2_u = float(resid @ resid) / 4 - components.sigma2_e / 7
+        assert sigma2_u > 0.0
+        assert components.sigma2_u == pytest.approx(sigma2_u, rel=1e-9)
+
     def test_bad_theta_override(self):
         sample = simulated_sample()
         with pytest.raises(EstimationError, match="theta override"):

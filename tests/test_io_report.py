@@ -174,6 +174,15 @@ class TestLocationQuotients:
         with pytest.raises(PanelDataError, match="missing employment"):
             derive_location_quotients(panel, {("a", 2000): 1.0})
 
+    def test_missing_total_employment_errors(self):
+        values = {(r, y): 100.0 for r in ("a", "b") for y in (2000, 2001)}
+        employment = {cell: 20.0 for cell in values}
+        totals = {cell: 200.0 for cell in values if cell != ("b", 2000)}
+        panel = PanelDataset(("a", "b"), (2000, 2001), "s", values, {"employment": employment})
+        with pytest.raises(PanelDataError) as error:
+            derive_location_quotients(panel, totals)
+        assert str(error.value) == "missing total employment for region 'b', year 2000"
+
     def test_national_rows_override_sums(self, tmp_path):
         body = (
             "a,2000,s,100,,,20\n"

@@ -17,7 +17,7 @@ import convpanel.montecarlo as mc
 from convpanel.errors import PanelDataError
 from convpanel.estimators import METHODS
 from convpanel.montecarlo import SimulationConfig, recovery_experiment, simulate_panel
-from convpanel.panel import CellGrid, PanelDataset, build_growth_sample
+from convpanel.panel import CellGrid, PanelDataset, build_growth_sample, growth_sample_from_logs
 from convpanel.regression import durbin_watson
 
 
@@ -86,10 +86,10 @@ def test_replication_sample_is_the_panel_growth_sample(shape):
     regions, periods = shape
     config = SimulationConfig(seed=11, regions=regions, periods=periods, b_true=-0.4, region_effects=0.1)
     expected = build_growth_sample(simulate_panel(config))
-    code = np.repeat(np.arange(regions), periods - 1)
-    year = np.tile(np.arange(2, periods + 1), regions)
     log_p = mc._log_levels(config, config.seed)
-    sample = mc._growth_sample(log_p, mc._region_names(regions), code, year)
+    sample = growth_sample_from_logs(
+        log_p, mc._region_names(regions), tuple(range(1, periods + 1)), "simulated"
+    )
     for name in ("structural_names", "regions", "panel_regions", "sector", "dropped_transitions",
                  "source_cell_count"):
         assert getattr(sample, name) == getattr(expected, name)
