@@ -9,11 +9,9 @@ validation harness.
 
 from .convergence import (
     ConvergenceReport,
-    LocationQuotientInputs,
     annual_rate,
     classify,
     half_life,
-    location_quotient,
     run_convergence,
 )
 from .errors import ConvpanelError, EstimationError, PanelDataError, RankDeficientError
@@ -50,7 +48,6 @@ __all__ = [
     "EstimationError",
     "FitResult",
     "GrowthSample",
-    "LocationQuotientInputs",
     "ModelSpec",
     "PanelDataError",
     "PanelDataset",
@@ -70,7 +67,6 @@ __all__ = [
     "fit_pooled",
     "half_life",
     "least_squares",
-    "location_quotient",
     "read_panel",
     "recovery_experiment",
     "render_report",

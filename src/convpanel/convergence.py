@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import PanelDataError
 from .estimators import ModelSpec, fit_method
 from .panel import GrowthSample, PanelDataset, build_growth_sample
 from .regression import FitResult, t_critical
@@ -30,30 +29,6 @@ INCONCLUSIVE = "inconclusive"
 CONVERGENCE_LABEL = "Coef.1"
 
 STARS = {SIG5: "*", SIG10: "**", NONE: ""}
-
-
-@dataclass(frozen=True)
-class LocationQuotientInputs:
-    """Employment counts feeding one location quotient."""
-
-    regional_sector: float
-    national_sector: float
-    regional_total: float
-    national_total: float
-
-    def __post_init__(self):
-        for name, value in (
-            ("regional_sector", self.regional_sector),
-            ("national_sector", self.national_sector),
-            ("regional_total", self.regional_total),
-            ("national_total", self.national_total),
-        ):
-            if not value > 0.0:
-                raise PanelDataError(f"{name} employment must be positive, got {value!r}")
-        if self.regional_sector > self.national_sector:
-            raise PanelDataError("regional sector employment exceeds the national count")
-        if self.regional_total > self.national_total:
-            raise PanelDataError("regional total employment exceeds the national count")
 
 
 @dataclass(frozen=True)
@@ -114,29 +89,6 @@ def classify(t_stat: float, df: int) -> str:
     if abs(t_stat) >= t_critical(df, 0.10):
         return SIG10
     return NONE
-
-
-def location_quotient(inp: LocationQuotientInputs) -> float:
-    """Regional sector employment share over the national sector share.
-
-    (regional_sector / national_sector) / (regional_total / national_total);
-    values above 1 mark regional specialization in the sector.
-
-    Raises
-    ------
-    PanelDataError
-        If the quotient leaves the floating-point range (counts many
-        orders of magnitude apart).
-    """
-    sector_share = inp.regional_sector / inp.national_sector
-    total_share = inp.regional_total / inp.national_total
-    quotient = sector_share / total_share if total_share > 0.0 else math.inf
-    if not math.isfinite(quotient):
-        raise PanelDataError(
-            f"location quotient out of floating-point range: regional total "
-            f"{inp.regional_total!r} against national total {inp.national_total!r}"
-        )
-    return quotient
 
 
 def report_from_fit(fit: FitResult, spec: ModelSpec, sample: GrowthSample) -> ConvergenceReport:

@@ -27,6 +27,7 @@ from .regression import (
     RANK_TOLERANCE,
     DesignMatrix,
     FitResult,
+    _check_norms,
     least_squares,
     r_squared,
     t_ratios,
@@ -135,11 +136,13 @@ def _within_fit(sample: GrowthSample, spec: ModelSpec) -> FitResult:
     n, r, k = sample.row_count, counts.size, slopes.shape[1]
     if n <= r + k:
         raise EstimationError(f"need more rows than columns, got n={n}, k={r + k}")
+    norms = np.sqrt(np.einsum("ij,ij->j", slopes, slopes))
+    _check_norms(norms.tolist(), spec.slope_labels)
     y_within, slopes_within = sample.demeaned()
     # a regressor constant within every region demeans to rounding noise,
     # which only its norm before demeaning can tell from variation
     squares = np.einsum("ij,ij->j", slopes_within, slopes_within)
-    absorbed = np.sqrt(squares) <= RANK_TOLERANCE * np.sqrt(np.einsum("ij,ij->j", slopes, slopes))
+    absorbed = np.sqrt(squares) <= RANK_TOLERANCE * norms
     if absorbed.any():
         raise RankDeficientError(spec.slope_labels[np.flatnonzero(absorbed)[0]])
     design = DesignMatrix(slopes_within, spec.slope_labels, sample.rows.code, sample.rows.year)

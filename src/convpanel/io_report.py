@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .convergence import ConvergenceReport, LocationQuotientInputs, location_quotient
+from .convergence import ConvergenceReport
 from .errors import PanelDataError
 from .estimators import METHODS
 from .montecarlo import RecoveryStats
@@ -54,27 +54,12 @@ METHOD_TITLES = {"pooled": "Pooling", "lsdv": "LSDV", "gls": "GLS"}
 FORMATS = ("md", "tsv", "json")
 
 
-@dataclass(frozen=True)
-class PanelRow:
-    """One validated CSV row; optional fields are None when the cell is empty."""
-
-    region: str
-    year: int
-    sector: str
-    output_per_worker: float | None
-    capital_output_ratio: float | None
-    goods_flow_output_ratio: float | None
-    employment: float | None
-    line: int
-
-
 @dataclass(frozen=True, eq=False)
-class PanelRows(Sequence[PanelRow]):
+class PanelRows:
     """Validated CSV rows stored as columns, in file order: one entry per
     row in ``region``, ``year``, ``sector`` and ``line``, and one row per
     column of ``NUMERIC_COLUMNS`` in ``numbers``, NaN where a cell is
-    empty. Indexing builds :class:`PanelRow` objects on demand; tables
-    compare equal when their rows do."""
+    empty."""
 
     region: Sequence[str]
     year: Sequence[int]
@@ -84,14 +69,6 @@ class PanelRows(Sequence[PanelRow]):
 
     def __len__(self) -> int:
         return len(self.line)
-
-    def __getitem__(self, i: int) -> PanelRow:
-        numbers = [None if math.isnan(v) else v for v in self.numbers[:, i].tolist()]
-        cells = dict(zip(NUMERIC_COLUMNS, numbers))
-        return PanelRow(self.region[i], self.year[i], self.sector[i], line=self.line[i], **cells)
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
 
 
 def read_rows(source: str | Path | TextIO) -> PanelRows:
@@ -280,13 +257,17 @@ def derive_location_quotients(
     Sectoral employment comes from the panel's ``employment`` column;
     ``total_employment`` maps (region, year) to all-sector employment.
     National totals default to the sum over the panel's regions;
-    explicit per-year overrides (from NATIONAL rows) win. A quotient is
-    computed for every (region, year) holding a productivity value.
+    explicit per-year overrides (from NATIONAL rows) win. A quotient,
+    (sector / national sector) / (total / national total), is computed
+    for every (region, year) holding a productivity value.
 
     Raises
     ------
     PanelDataError
-        If employment or totals are missing for any such cell.
+        If employment or totals are missing for any such cell, a count
+        is not positive, a regional count exceeds its national count, or
+        a quotient leaves the floating-point range. The first failing
+        cell in (region, year) order is reported.
     """
     emp = panel.structural.get("employment")
     if not emp:
@@ -295,25 +276,57 @@ def derive_location_quotients(
             "location quotients need employment data"
         )
     totals = CellGrid.of(panel.regions, panel.periods, total_employment)
-    # per-year national counts: the overrides, else the column's sum in region order
+    counts = np.stack([emp.grid, totals.grid])  # regional sector and total employment
+    # per-year national counts: the overrides, else each column's sum in region order
+    with np.errstate(over="ignore"):  # an infinite sum fails as the quotient it spoils
+        sums = np.nansum(counts, axis=1).tolist()
     nat_sector, nat_total = (
-        {**dict(zip(panel.periods, np.nansum(column.grid, axis=0).tolist())), **(override or {})}
-        for column, override in ((emp, national_sector), (totals, national_total))
+        {**dict(zip(panel.periods, column)), **(override or {})}
+        for column, override in zip(sums, (national_sector, national_total))
     )
-    quotients: dict[Cell, float] = {}
-    for cell in sorted(panel.values):
-        region, year = cell
-        count, total = emp.get(cell), totals.get(cell)
-        if count is None:
-            raise PanelDataError(
-                f"missing employment for region {region!r}, year {year}, "
-                f"sector {panel.sector!r}"
-            )
-        if total is None:
-            raise PanelDataError(f"missing total employment for region {region!r}, year {year}")
-        inputs = LocationQuotientInputs(count, nat_sector[year], total, nat_total[year])
-        quotients[cell] = location_quotient(inputs)
-    return replace(panel, structural={**panel.structural, "location_quotient": quotients})
+    national = np.array([[nat[year] for year in panel.periods] for nat in (nat_sector, nat_total)])
+    with np.errstate(all="ignore"):
+        shares = counts / national[:, None, :]
+        quotients = shares[0] / shares[1]
+    valid = (counts > 0.0).all(axis=0) & (counts <= national[:, None, :]).all(axis=0)
+    valid &= (national > 0.0).all(axis=0) & np.isfinite(quotients)
+    present = ~np.isnan(panel.values.grid)
+    if not valid[present].all():
+        order = sorted(range(len(panel.regions)), key=panel.regions.__getitem__)
+        k, j = np.argwhere(present[order] & ~valid[order])[0].tolist()
+        i, year = order[k], panel.periods[j]
+        inputs = (emp.grid.item(i, j), nat_sector[year], totals.grid.item(i, j), nat_total[year])
+        raise _quotient_error(panel.sector, (panel.regions[i], year), *inputs)
+    column = CellGrid(panel.regions, panel.periods, np.where(present, quotients, np.nan))
+    return replace(panel, structural={**panel.structural, "location_quotient": column})
+
+
+def _quotient_error(sector: str, cell: Cell, *inputs: float) -> PanelDataError:
+    """The error of the first check a cell's quotient inputs fail, given
+    as regional sector, national sector, regional total and national
+    total employment: both regional counts present, each count
+    positive, each regional count at most its national one, then the
+    quotient within the floating-point range."""
+    region, year = cell
+    regional_sector, national_sector, regional_total, national_total = inputs
+    if math.isnan(regional_sector):
+        return PanelDataError(
+            f"missing employment for region {region!r}, year {year}, sector {sector!r}"
+        )
+    if math.isnan(regional_total):
+        return PanelDataError(f"missing total employment for region {region!r}, year {year}")
+    names = ("regional_sector", "national_sector", "regional_total", "national_total")
+    for name, value in zip(names, inputs):
+        if not value > 0.0:
+            return PanelDataError(f"{name} employment must be positive, got {value!r}")
+    if regional_sector > national_sector:
+        return PanelDataError("regional sector employment exceeds the national count")
+    if regional_total > national_total:
+        return PanelDataError("regional total employment exceeds the national count")
+    return PanelDataError(
+        f"location quotient out of floating-point range: regional total "
+        f"{regional_total!r} against national total {national_total!r}"
+    )
 
 
 def location_quotients_from_rows(
@@ -325,25 +338,30 @@ def location_quotients_from_rows(
     """Panel for ``sector`` with location quotients derived from a whole
     file's employment data.
 
-    Regional totals sum employment across the file's sectors; national
-    figures come from NATIONAL rows when present, otherwise from summing
-    the regions.
+    Regional totals sum employment across the file's sectors, in file
+    order; national figures come from NATIONAL rows when present,
+    otherwise from summing the regions.
     """
     panel = panel_from_rows(rows, sector, start, end)
-    employment = rows.numbers[NUMERIC_COLUMNS.index("employment")].tolist()
-    lo, hi = _window(start, end)
-    totals: dict[Cell, float] = {}
+    shape = (len(panel.regions), len(panel.periods))
+    employment = rows.numbers[NUMERIC_COLUMNS.index("employment")]
+    # a year on the panel's axis lies in the window
+    year = CellGrid.codes(panel.periods, rows.year)
+    counted = (year >= 0) & ~np.isnan(employment)
+    region = CellGrid.codes(panel.regions, rows.region)
+    regional = counted & (region >= 0)
+    cell = region[regional] * shape[1] + year[regional]
+    sums = np.bincount(cell, employment[regional], shape[0] * shape[1])
+    seen = np.bincount(cell, minlength=shape[0] * shape[1])
+    totals = CellGrid(panel.regions, panel.periods, np.where(seen > 0, sums, np.nan).reshape(shape))
     national_total: dict[int, float] = {}
     national_sector: dict[int, float] = {}
-    for region, year, row_sector, count in zip(rows.region, rows.year, rows.sector, employment):
-        if math.isnan(count) or not lo <= year <= hi:
-            continue
-        if region == NATIONAL_REGION:
-            national_total[year] = national_total.get(year, 0.0) + count
-            if row_sector == sector:
-                national_sector[year] = count
-        else:
-            totals[(region, year)] = totals.get((region, year), 0.0) + count
+    national = counted & (CellGrid.codes((NATIONAL_REGION,), rows.region) == 0)
+    for i in np.flatnonzero(national).tolist():
+        count = employment.item(i)
+        national_total[rows.year[i]] = national_total.get(rows.year[i], 0.0) + count
+        if rows.sector[i] == sector:
+            national_sector[rows.year[i]] = count
     return derive_location_quotients(panel, totals, national_sector, national_total)
 
 

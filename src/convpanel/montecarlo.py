@@ -141,14 +141,16 @@ def _log_levels(config: SimulationConfig, seed: int) -> np.ndarray:
     else:
         anchors = np.zeros(r)
     by_year = np.empty((t, r))  # year-major, so each step writes one contiguous row
-    by_year[0] = anchors + config.initial_dispersion * rng.standard_normal(r)
-    shocks = (config.noise_sd * rng.standard_normal((r, t - 1))).T
-    drift, persistence = config.intercept + effects, 1.0 + config.b_true
-    for previous, year, shock in zip(by_year, by_year[1:], shocks):
-        # drift + persistence * previous + shock, added in place in that order
-        np.multiply(previous, persistence, out=year)
-        year += drift
-        year += shock
+    # a level that overflows is reported by _checked_levels as the cell it spoils
+    with np.errstate(over="ignore", invalid="ignore"):
+        by_year[0] = anchors + config.initial_dispersion * rng.standard_normal(r)
+        shocks = (config.noise_sd * rng.standard_normal((r, t - 1))).T
+        drift, persistence = config.intercept + effects, 1.0 + config.b_true
+        for previous, year, shock in zip(by_year, by_year[1:], shocks):
+            # drift + persistence * previous + shock, added in place in that order
+            np.multiply(previous, persistence, out=year)
+            year += drift
+            year += shock
     return by_year.T
 
 

@@ -187,9 +187,8 @@ class GrowthColumns(Sequence[GrowthRow]):
 class GrowthSample:
     """Stacked regression rows for the growth equation.
 
-    Rows are grouped by region and ordered by year within each region.
-    ``rows`` may be given as any sequence of :class:`GrowthRow`; it is
-    stored as :class:`GrowthColumns`, which the estimators read.
+    Rows are grouped by region and ordered by year within each region,
+    stored as :class:`GrowthColumns` whose ``code`` indexes ``regions``.
     ``regions`` lists only regions that contribute at least one row;
     ``panel_regions`` keeps the full region list of the source panel so
     reports can render empty dummy slots. ``source_cell_count`` is the
@@ -204,7 +203,7 @@ class GrowthSample:
     and GLS.
     """
 
-    rows: Sequence[GrowthRow]
+    rows: GrowthColumns
     structural_names: tuple[str, ...]
     regions: tuple[str, ...]
     panel_regions: tuple[str, ...]
@@ -212,19 +211,6 @@ class GrowthSample:
     dropped_transitions: int
     source_cell_count: int
     fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if isinstance(self.rows, GrowthColumns) and self.rows.regions == self.regions:
-            return
-        index = {region: i for i, region in enumerate(self.regions)}
-        table = np.array(
-            [(index[row.region], row.year, row.y, row.x, *row.structural) for row in self.rows],
-            dtype=float,
-        ).reshape(len(self.rows), 4 + len(self.structural_names))
-        columns = GrowthColumns(
-            self.regions, table[:, 0].astype(np.intp), table[:, 1].astype(np.int64), table[:, 2:]
-        )
-        object.__setattr__(self, "rows", columns)
 
     @property
     def row_count(self) -> int:

@@ -111,6 +111,7 @@ def least_squares(design: DesignMatrix, y: Sequence[float], method: str = "poole
     ------
     EstimationError
         If n <= k, or if the design holds a NaN or an infinity.
+        If the norm of a design column overflows, the error names it.
     RankDeficientError
         If a pivot falls below ``RANK_TOLERANCE`` relative to the largest
         one; the error names the offending column.
@@ -125,7 +126,7 @@ def least_squares(design: DesignMatrix, y: Sequence[float], method: str = "poole
     if not np.isfinite(X).all():
         raise EstimationError("design matrix must be finite")
 
-    R, qty, piv = _pivoted_qr(X, response)
+    R, qty, piv = _pivoted_qr(X, response, design.labels)
     diag = np.abs(R.diagonal()).tolist()
     if diag[0] == 0.0:
         raise RankDeficientError(design.labels[piv[0]])
@@ -167,7 +168,18 @@ def least_squares(design: DesignMatrix, y: Sequence[float], method: str = "poole
     )
 
 
-def _pivoted_qr(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _check_norms(norms: list[float], labels: Sequence[str]) -> None:
+    """Raise EstimationError naming the first column whose norm is
+    infinite: numpy sums of squares overflow without a warning, and a
+    fit on such a column would print NaN estimates."""
+    if math.inf in norms:
+        label = labels[norms.index(math.inf)]
+        raise EstimationError(f"column {label!r} out of floating-point range: its norm overflows")
+
+
+def _pivoted_qr(
+    X: np.ndarray, y: np.ndarray, labels: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Householder QR with column pivoting (Businger & Golub, 1965).
 
     Returns the k x k factor R (only its upper triangle is meaningful),
@@ -178,7 +190,8 @@ def _pivoted_qr(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, l
     their digits, and the reflectors follow ``dlarfg``. The reflectors
     are applied to y as they are made, so Q is never formed. Columns of X
     are rows of the work array, with y as its last row, so that every
-    reflection is one matrix-vector product.
+    reflection is one matrix-vector product. A column whose norm
+    overflows is an EstimationError naming its label.
     """
     n, k = X.shape
     work = np.empty((k + 1, n))
@@ -186,6 +199,7 @@ def _pivoted_qr(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, l
     work[k] = y
     piv = list(range(k))
     norms = np.sqrt(np.einsum("ij,ij->i", work[:k], work[:k])).tolist()
+    _check_norms(norms, labels)
     exact = norms[:]  # each norm as last computed in full
     for j in range(k):
         p = max(range(j, k), key=norms.__getitem__)

@@ -1,6 +1,7 @@
 """CLI input contract: byte-order marks, non-finite cells, count flags,
 one diagnostic per single-row region under --method all, each warning
-and error on one stderr line, and an overflowing simulation."""
+and error on one stderr line, an overflowing simulation, location
+quotient or regressor."""
 
 import io
 import os
@@ -9,6 +10,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import convpanel
@@ -47,7 +49,10 @@ def test_byte_order_mark_is_skipped(tmp_path, capsys, fmt):
 
 
 def test_byte_order_mark_is_skipped_in_a_stream():
-    assert read_rows(io.StringIO("\ufeff" + CSV)) == read_rows(io.StringIO(CSV))
+    marked, plain = read_rows(io.StringIO("\ufeff" + CSV)), read_rows(io.StringIO(CSV))
+    for name in ("region", "year", "sector", "line"):
+        assert getattr(marked, name) == getattr(plain, name), name
+    np.testing.assert_array_equal(marked.numbers, plain.numbers)
 
 
 STRUCTURAL_CSV = (
@@ -150,13 +155,54 @@ def test_main_leaves_the_warnings_module_as_it_found_it(tmp_path, capsys, sector
     assert warnings.formatwarning is before
 
 
+# the first bad cell of an infinite noise draw: recover draws from a child seed
+NOISE_CELL = {"simulate": "nan at ('R5', 7)", "recover": "nan at ('R5', 8)"}
+
+
 @pytest.mark.parametrize("command", ["simulate", "recover"])
 def test_overflowing_dgp_is_one_data_error_line(capsys, command):
+    for flags, cell in [
+        (("--b-true=-1e-9", "--intercept", "1"), "inf at ('R1', 1)"),
+        (("--noise-sd", "1e308"), NOISE_CELL[command]),
+    ]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, command, "--seed", "1", *flags)
+        assert (code, out, caught) == (2, "", []), flags
+        assert err == (
+            f"convpanel: data error: output per worker must be positive and finite, got {cell}\n"
+        )
+
+
+def test_overflowing_national_total_is_one_data_error_line(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text(
+        "region,year,sector,output_per_worker,employment\n"
+        "a,2000,x,100,1e308\na,2001,x,105,1\nb,2000,x,90,1e308\nb,2001,x,95,1\n",
+        encoding="utf-8",
+    )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = run(capsys, command, "--seed", "1", "--b-true=-1e-9", "--intercept", "1")
+        code, out, err = run(capsys, "lq", "--input", str(path), "--sector", "x")
     assert (code, out, caught) == (2, "", [])
     assert err == (
-        "convpanel: data error: output per worker must be positive and finite, "
-        "got inf at ('R1', 1)\n"
+        "convpanel: data error: location quotient out of floating-point range: "
+        "regional total 1e+308 against national total inf\n"
+    )
+
+
+@pytest.mark.parametrize("method", ["pooled", "lsdv", "gls", "all"])
+@pytest.mark.parametrize("fmt", ["md", "json"])
+@pytest.mark.parametrize("huge", ["1e308", "-1e308"])
+def test_overflowing_regressor_is_one_estimation_error_line(tmp_path, capsys, method, fmt, huge):
+    path = tmp_path / "huge.csv"
+    path.write_text(STRUCTURAL_CSV.format(capital=huge, employment="32"), encoding="utf-8")
+    argv = ("fit", "--method", method, "--conditional", "capital_output", "--format", fmt)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv, "--input", str(path), "--sector", "x")
+    assert (code, out, caught) == (3, "", [])
+    assert err == (
+        "convpanel: estimation error: column 'Coef.2' out of floating-point range: "
+        "its norm overflows\n"
     )

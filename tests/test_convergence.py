@@ -11,16 +11,16 @@ from convpanel.convergence import (
     NONE,
     SIG5,
     SIG10,
-    LocationQuotientInputs,
     annual_rate,
     classify,
     half_life,
-    location_quotient,
     run_convergence,
 )
 from convpanel.errors import PanelDataError
 from convpanel.estimators import ModelSpec
+from convpanel.io_report import derive_location_quotients
 from convpanel.montecarlo import SimulationConfig, simulate_panel
+from convpanel.panel import PanelDataset
 
 from conftest import make_panel
 
@@ -95,28 +95,44 @@ class TestClassify:
         assert order[classify(t + bump, df)] >= order[classify(t, df)]
 
 
+def location_quotient(regional_sector, national_sector, regional_total, national_total):
+    """The quotient of region "a" in 2000 on a 2 x 2 panel whose every
+    cell has these regional counts, with national overrides fixing the
+    national ones."""
+    years = (2000, 2001)
+    cells = [(region, year) for region in ("a", "b") for year in years]
+    employment = dict.fromkeys(cells, regional_sector)
+    panel = PanelDataset(
+        ("a", "b"), years, "s", dict.fromkeys(cells, 1.0), {"employment": employment}
+    )
+    out = derive_location_quotients(
+        panel,
+        dict.fromkeys(cells, regional_total),
+        dict.fromkeys(years, national_sector),
+        dict.fromkeys(years, national_total),
+    )
+    return out.structural["location_quotient"][("a", 2000)]
+
+
 class TestLocationQuotient:
     def test_identity_when_structure_matches(self):
-        inp = LocationQuotientInputs(20.0, 200.0, 100.0, 1000.0)
-        assert location_quotient(inp) == pytest.approx(1.0, abs=1e-12)
+        assert location_quotient(20.0, 200.0, 100.0, 1000.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_specialized_region(self):
-        assert location_quotient(
-            LocationQuotientInputs(20.0, 100.0, 200.0, 2000.0)
-        ) == pytest.approx(2.0, abs=1e-12)
+        assert location_quotient(20.0, 100.0, 200.0, 2000.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_underrepresented_sector(self):
-        assert location_quotient(
-            LocationQuotientInputs(5.0, 1000.0, 500.0, 1000.0)
-        ) == pytest.approx(0.01, abs=1e-12)
+        assert location_quotient(5.0, 1000.0, 500.0, 1000.0) == pytest.approx(0.01, abs=1e-12)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(PanelDataError, match="positive"):
-            LocationQuotientInputs(0.0, 1.0, 1.0, 1.0)
+        message = r"^regional_sector employment must be positive, got 0\.0$"
+        with pytest.raises(PanelDataError, match=message):
+            location_quotient(0.0, 1.0, 1.0, 1.0)
 
     def test_rejects_regional_above_national(self):
-        with pytest.raises(PanelDataError, match="exceeds"):
-            LocationQuotientInputs(10.0, 5.0, 1.0, 2.0)
+        message = "^regional sector employment exceeds the national count$"
+        with pytest.raises(PanelDataError, match=message):
+            location_quotient(10.0, 5.0, 1.0, 2.0)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -125,13 +141,11 @@ class TestLocationQuotient:
         st.floats(min_value=1e-3, max_value=1e3),
     )
     def test_invariant_under_common_rescaling(self, sector, total, factor):
-        base = LocationQuotientInputs(sector, sector * 10.0, total, total * 10.0)
-        scaled = LocationQuotientInputs(
+        base = location_quotient(sector, sector * 10.0, total, total * 10.0)
+        scaled = location_quotient(
             sector * factor, sector * 10.0 * factor, total * factor, total * 10.0 * factor
         )
-        assert location_quotient(scaled) == pytest.approx(
-            location_quotient(base), rel=1e-9
-        )
+        assert scaled == pytest.approx(base, rel=1e-9)
 
 
 class TestRunConvergence:

@@ -76,10 +76,9 @@ class TestPooled:
         shift = 2.5
         from dataclasses import replace
 
-        shifted = replace(
-            sample,
-            rows=tuple(replace(row, x=row.x + shift) for row in sample.rows),
-        )
+        data = sample.rows.data.copy()
+        data[:, 1] += shift  # the x column of y, x
+        shifted = replace(sample, rows=replace(sample.rows, data=data))
         moved = fit_pooled(shifted, spec)
         assert moved.coef("Coef.1") == pytest.approx(base.coef("Coef.1"), abs=1e-10)
         expected = base.coef("Const.") - base.coef("Coef.1") * shift
@@ -208,13 +207,15 @@ class TestGls:
     def test_degenerate_zero_variance_errors(self):
         # exact linear growth per region: the within fit is perfect and the
         # idiosyncratic variance cannot be estimated
-        from convpanel.panel import GrowthRow, GrowthSample
+        from convpanel.panel import GrowthColumns, GrowthSample
 
-        rows = []
-        for region, effect in (("a", 0.5), ("b", 1.0)):
-            for i, x in enumerate((1.0, -1.0, 3.0)):
-                rows.append(GrowthRow(region, 2001 + i, y=effect + 1.0 * x, x=x))
-        sample = GrowthSample(tuple(rows), (), ("a", "b"), ("a", "b"), "x", 0, 8)
+        x = np.tile([1.0, -1.0, 3.0], 2)
+        effect = np.repeat([0.5, 1.0], 3)
+        rows = GrowthColumns(
+            ("a", "b"), np.repeat([0, 1], 3), np.tile([2001, 2002, 2003], 2),
+            np.column_stack([effect + 1.0 * x, x]),
+        )
+        sample = GrowthSample(rows, (), ("a", "b"), ("a", "b"), "x", 0, 8)
         with pytest.raises(EstimationError, match="degenerate"):
             fit_gls_random_effects(sample, ModelSpec(method="gls"))
 

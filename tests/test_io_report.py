@@ -183,6 +183,27 @@ class TestLocationQuotients:
             derive_location_quotients(panel, totals)
         assert str(error.value) == "missing total employment for region 'b', year 2000"
 
+    def test_first_failing_cell_in_region_order(self):
+        # both regions fail; "b" comes first on the grid and by year, "a" by name
+        values = {(r, y): 100.0 for r in ("b", "a") for y in (2000, 2001)}
+        employment = {cell: 20.0 for cell in values if cell != ("b", 2000)}
+        totals = {cell: 200.0 for cell in values if cell != ("a", 2001)}
+        panel = PanelDataset(("b", "a"), (2000, 2001), "s", values, {"employment": employment})
+        with pytest.raises(PanelDataError) as error:
+            derive_location_quotients(panel, totals)
+        assert str(error.value) == "missing total employment for region 'a', year 2001"
+
+    def test_quotients_only_where_productivity_is_present(self):
+        values = {("a", 2000): 100.0, ("a", 2001): 100.0, ("b", 2000): 100.0}
+        employment = {(r, y): 20.0 for r in ("a", "b") for y in (2000, 2001)}
+        totals = {cell: 200.0 for cell in employment}
+        panel = PanelDataset(("a", "b"), (2000, 2001), "s", values, {"employment": employment})
+        lq = derive_location_quotients(panel, totals).structural["location_quotient"]
+        assert (lq.regions, lq.periods) == (panel.regions, panel.periods)
+        assert lq.grid.tolist()[0] == [1.0, 1.0]
+        assert lq.grid[1, 0] == 1.0 and math.isnan(lq.grid[1, 1])
+        assert dict(lq) == {cell: 1.0 for cell in values}
+
     def test_national_rows_override_sums(self, tmp_path):
         body = (
             "a,2000,s,100,,,20\n"
