@@ -11,12 +11,16 @@ quasi-demeaning. Column labels follow the reporting convention:
 LSDV on this equation carries the usual dynamic-panel (Nickell) bias
 toward faster convergence for small T; it is estimated as-is, without
 correction.
+
+Every fitter also takes a block sample (Monte Carlo replications
+stacked on a member axis) and then returns the block's fits, arrays
+with that axis, through the one solver that fits a single sample.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,12 +29,12 @@ from .errors import EstimationError, PanelDataError, RankDeficientError
 from .panel import GrowthSample
 from .regression import (
     RANK_TOLERANCE,
-    DesignMatrix,
     FitResult,
+    _BlockFit,
     _check_norms,
-    least_squares,
-    r_squared,
-    t_ratios,
+    _fail,
+    _rank_fit,
+    _solve,
 )
 
 METHODS = ("pooled", "lsdv", "gls")
@@ -82,15 +86,21 @@ class VarianceComponents:
     between_df: int = 1
 
     def __post_init__(self):
-        if not self.sigma2_e > 0.0:
-            raise EstimationError(
-                f"idiosyncratic variance must be positive, got {self.sigma2_e!r}"
-            )
-        if self.sigma2_u < 0.0:
-            raise EstimationError(f"region-effect variance cannot be negative: {self.sigma2_u!r}")
-        for region, value in self.theta.items():
-            if not 0.0 <= value < 1.0:
-                raise EstimationError(f"theta for region {region!r} outside [0, 1): {value!r}")
+        error = _invalid_components(self.sigma2_e, self.sigma2_u, self.theta)
+        if error is not None:
+            raise error
+
+
+def _invalid_components(sigma2_e: float, sigma2_u: float, theta: dict[str, float]) -> EstimationError | None:
+    """The first reason these variance components are invalid, if any."""
+    if not sigma2_e > 0.0:
+        return EstimationError(f"idiosyncratic variance must be positive, got {sigma2_e!r}")
+    if sigma2_u < 0.0:
+        return EstimationError(f"region-effect variance cannot be negative: {sigma2_u!r}")
+    for region, value in theta.items():
+        if not 0.0 <= value < 1.0:
+            return EstimationError(f"theta for region {region!r} outside [0, 1): {value!r}")
+    return None
 
 
 def _check_sample(sample: GrowthSample, spec: ModelSpec) -> None:
@@ -107,7 +117,18 @@ def _check_sample(sample: GrowthSample, spec: ModelSpec) -> None:
         )
 
 
-def fit_pooled(sample: GrowthSample, spec: ModelSpec) -> FitResult:
+def _result(sample: GrowthSample, fits: _BlockFit) -> FitResult | _BlockFit:
+    """A single sample's fit as a FitResult; a block's fits as they are."""
+    return fits if sample.batched else fits.member(0, sample.rows.code, sample.rows.year)
+
+
+def _errors(sample: GrowthSample) -> list | None:
+    """A fresh error list for a block (see ``regression._fail``); None for
+    a single sample, whose fit raises at its first failed check."""
+    return [None] * sample.members if sample.batched else None
+
+
+def fit_pooled(sample: GrowthSample, spec: ModelSpec) -> FitResult | _BlockFit:
     """Pooled OLS: common intercept plus the slope block.
 
     Residual degrees of freedom are n - (1 + slopes), which reproduces
@@ -115,12 +136,13 @@ def fit_pooled(sample: GrowthSample, spec: ModelSpec) -> FitResult:
     spec -> 38).
     """
     _check_sample(sample, spec)
-    X = np.column_stack([np.ones(sample.row_count), sample.slopes])
-    design = DesignMatrix(X, ("Const.",) + spec.slope_labels, sample.rows.code, sample.rows.year)
-    return least_squares(design, sample.y, method="pooled")
+    slopes = sample.slopes
+    X = np.concatenate([np.ones(slopes.shape[:-1] + (1,)), slopes], axis=-1)
+    labels = ("Const.",) + spec.slope_labels
+    return _result(sample, _solve(X, sample.y, labels, "pooled", _errors(sample)))
 
 
-def _within_fit(sample: GrowthSample, spec: ModelSpec) -> FitResult:
+def _within_fit(sample: GrowthSample, spec: ModelSpec) -> _BlockFit:
     """The slope block fitted on region-demeaned data (Frisch-Waugh-Lovell).
 
     Its slopes and residuals are those of LSDV; its df and standard
@@ -133,25 +155,31 @@ def _within_fit(sample: GrowthSample, spec: ModelSpec) -> FitResult:
     if not counts.all():
         raise RankDeficientError(f"D{np.flatnonzero(counts == 0)[0] + 1}")
     slopes = sample.slopes
-    n, r, k = sample.row_count, counts.size, slopes.shape[1]
+    n, r, k = sample.row_count, counts.size, slopes.shape[-1]
     if n <= r + k:
         raise EstimationError(f"need more rows than columns, got n={n}, k={r + k}")
-    norms = np.sqrt(np.einsum("ij,ij->j", slopes, slopes))
-    _check_norms(norms.tolist(), spec.slope_labels)
+    errors = _errors(sample)
+    norms = np.sqrt(np.einsum("...ij,...ij->...j", slopes, slopes)).reshape(-1, k)
+    _check_norms(norms, spec.slope_labels, errors)
     y_within, slopes_within = sample.demeaned()
     # a regressor constant within every region demeans to rounding noise,
     # which only its norm before demeaning can tell from variation
-    squares = np.einsum("ij,ij->j", slopes_within, slopes_within)
+    squares = np.einsum("...ij,...ij->...j", slopes_within, slopes_within).reshape(-1, k)
     absorbed = np.sqrt(squares) <= RANK_TOLERANCE * norms
-    if absorbed.any():
-        raise RankDeficientError(spec.slope_labels[np.flatnonzero(absorbed)[0]])
-    design = DesignMatrix(slopes_within, spec.slope_labels, sample.rows.code, sample.rows.year)
-    fit = least_squares(design, y_within, method="lsdv")
+    _fail(errors, absorbed.any(axis=1), lambda b: RankDeficientError(
+        spec.slope_labels[int(np.argmax(absorbed[b]))]
+    ))
+    fit = _solve(slopes_within, y_within, spec.slope_labels, "lsdv", errors)
     sample.fits["within"] = fit
     return fit
 
 
-def fit_lsdv(sample: GrowthSample, spec: ModelSpec) -> FitResult:
+def _copy(errors: list | None) -> list | None:
+    """A fit's error list to go on from, leaving the fit's own as it is."""
+    return None if errors is None else list(errors)
+
+
+def fit_lsdv(sample: GrowthSample, spec: ModelSpec) -> FitResult | _BlockFit:
     """Least squares with region dummies and no common intercept.
 
     The dummies are absorbed: the slopes b come from the within fit and
@@ -167,33 +195,69 @@ def fit_lsdv(sample: GrowthSample, spec: ModelSpec) -> FitResult:
     counts = sample.region_counts
     df = within.df_residual - counts.size
     s2 = within.sse / df
-    b = np.array(within.coefficients)
-    cov_b = s2 * within.xtx_inv
+    b = within.coefficients
+    cov_b = s2[:, None, None] * within.xtx_inv
     means_y, means_x = sample.region_means()
-    alpha = means_y - means_x @ b
-    se_alpha = np.sqrt(s2 / counts + np.einsum("ij,jk,ik->i", means_x, cov_b, means_x))
-    coefficients = np.concatenate([alpha, b])
-    std_errors = np.concatenate([se_alpha, np.sqrt(cov_b.diagonal())])
-    tss, r2 = r_squared(within.sse, sample.y)
+    alpha = means_y - np.matmul(means_x, b[:, :, None])[..., 0]
+    se_alpha = np.sqrt(s2[:, None] / counts + (np.matmul(means_x, cov_b) * means_x).sum(axis=-1))
+    coefficients = np.concatenate([alpha, b], axis=1)
+    std_errors = np.concatenate([se_alpha, np.sqrt(cov_b.diagonal(0, 1, 2))], axis=1)
 
     single = [region for region, count in zip(sample.regions, counts.tolist()) if count == 1]
-    for region in single:
-        warnings.warn(
-            f"region {region!r} contributes a single row; its dummy absorbs it",
-            stacklevel=2,
+    if within.errors is None or not all(within.errors):
+        for region in single:
+            warnings.warn(
+                f"region {region!r} contributes a single row; its dummy absorbs it",
+                stacklevel=2,
+            )
+    labels = tuple(f"D{i + 1}" for i in range(counts.size)) + within.labels
+    flags = tuple((f"single_row_region:{region}", np.ones(sample.members, dtype=bool)) for region in single)
+    return _result(sample, _BlockFit(
+        "lsdv", labels, coefficients, std_errors, within.residuals, within.sse, df,
+        sample.y.reshape(-1, sample.row_count), None, _copy(within.errors), flags,
+    ))
+
+
+def _variance_components(sample: GrowthSample, spec: ModelSpec) -> tuple:
+    """sigma2_e, sigma2_u, theta (members x regions), truncated and
+    between_df of each member of ``sample``, then its error list; see
+    :func:`estimate_variance_components` for the formulas."""
+    _check_sample(sample, spec)
+    within = _within_fit(sample, spec)
+    errors = _copy(within.errors)
+    counts = sample.region_counts
+    r = counts.size
+    sigma2_e = within.sse / (within.df_residual - r)
+    y = sample.y.reshape(-1, sample.row_count)
+    degenerate = sigma2_e <= 1e-24 * (1.0 + np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0] / y.shape[1])
+    _fail(errors, degenerate, lambda b: EstimationError(
+        "degenerate panel: within fit is (numerically) exact, idiosyncratic variance is zero"
+    ))
+
+    means_y, means_x = sample.region_means()
+    k_between = means_x.shape[-1] + 1
+    if r < k_between:
+        raise EstimationError(
+            f"between regression infeasible: {r} regions for {k_between} parameters"
         )
-    return replace(
-        within,
-        labels=tuple(f"D{i + 1}" for i in range(counts.size)) + within.labels,
-        coefficients=tuple(coefficients.tolist()),
-        std_errors=tuple(std_errors.tolist()),
-        t_stats=t_ratios(coefficients, std_errors),
-        tss_centered=tss,
-        r_squared=r2,
-        df_residual=df,
-        flags=tuple(f"single_row_region:{region}" for region in single),
-        xtx_inv=None,
-    )
+    Xb = np.concatenate([np.ones(means_y.shape + (1,)), means_x], axis=-1)
+    rank, sse = _rank_fit(Xb, means_y, ("Const.",) + spec.slope_labels, errors)
+    between_df = r - rank
+    # an exact between fit (no df, and no residual) says nothing about the
+    # region-effect variance, so the GLS transform degenerates to pooled OLS
+    sigma2_between = sse / np.maximum(between_df, 1)
+    t_harmonic = r / float((1.0 / counts).sum())
+    sigma2_u = sigma2_between - sigma2_e / t_harmonic
+    truncated = sigma2_u < 0.0
+    sigma2_u = np.maximum(sigma2_u, 0.0)
+    theta = 1.0 - np.sqrt(sigma2_e[:, None] / (counts * sigma2_u[:, None] + sigma2_e[:, None]))
+    # what VarianceComponents checks: sigma2_u >= 0 and theta >= 0 follow
+    # from sigma2_e > 0, and a NaN fails both tests here
+    valid = (sigma2_e > 0.0) & np.logical_and.reduce(theta < 1.0, axis=1)
+    _fail(errors, ~valid, lambda b: _invalid_components(
+        sigma2_e[b].item(), sigma2_u[b].item(), dict(zip(sample.regions, theta[b].tolist()))
+    ))
+    return (sigma2_e, sigma2_u, theta, truncated, between_df), errors
 
 
 def estimate_variance_components(sample: GrowthSample, spec: ModelSpec) -> VarianceComponents:
@@ -205,44 +269,14 @@ def estimate_variance_components(sample: GrowthSample, spec: ModelSpec) -> Varia
     of freedom, estimates sigma2_u + sigma2_e / T, so sigma2_u is
     recovered by subtracting sigma2_e over the harmonic mean of the
     region sizes (exact for balanced panels) and truncating at zero.
+    ``sample`` is a single sample.
     """
-    _check_sample(sample, spec)
-    within = _within_fit(sample, spec)
-    counts = sample.region_counts
-    r = counts.size
-    sigma2_e = within.sse / (within.df_residual - r)
-    y = sample.y
-    if sigma2_e <= 1e-24 * (1.0 + float(y @ y) / y.size):
-        raise EstimationError(
-            "degenerate panel: within fit is (numerically) exact, "
-            "idiosyncratic variance is zero"
-        )
-
-    means_y, means_x = sample.region_means()
-    k_between = means_x.shape[1] + 1
-    if r < k_between:
-        raise EstimationError(
-            f"between regression infeasible: {r} regions for {k_between} parameters"
-        )
-    Xb = np.column_stack([np.ones(r), means_x])
-    beta, _, rank, _ = np.linalg.lstsq(Xb, means_y, rcond=None)
-    between_df = r - int(rank)
-    if between_df == 0:
-        # exact between fit: no information about the region-effect
-        # variance, so the GLS transform degenerates to pooled OLS
-        sigma2_between = 0.0
-    else:
-        resid = means_y - Xb @ beta
-        sigma2_between = float(resid @ resid) / between_df
-    t_harmonic = r / float((1.0 / counts).sum())
-    sigma2_u = sigma2_between - sigma2_e / t_harmonic
-    truncated = sigma2_u < 0.0
-    sigma2_u = max(sigma2_u, 0.0)
-
-    theta = 1.0 - np.sqrt(sigma2_e / (counts * sigma2_u + sigma2_e))
+    if sample.batched:
+        raise EstimationError("variance components are reported for a single sample, not a block")
+    (sigma2_e, sigma2_u, theta, truncated, between_df), _ = _variance_components(sample, spec)
     return VarianceComponents(
-        float(sigma2_e), float(sigma2_u), dict(zip(sample.regions, theta.tolist())),
-        truncated, between_df,
+        sigma2_e[0].item(), sigma2_u[0].item(), dict(zip(sample.regions, theta[0].tolist())),
+        bool(truncated[0]), int(between_df[0]),
     )
 
 
@@ -250,7 +284,7 @@ def fit_gls_random_effects(
     sample: GrowthSample,
     spec: ModelSpec,
     theta_override: float | None = None,
-) -> FitResult:
+) -> FitResult | _BlockFit:
     """Feasible GLS (random effects) via quasi-demeaning.
 
     Every row of region i has theta_i times the region mean removed from
@@ -268,38 +302,30 @@ def fit_gls_random_effects(
     if len(sample.regions) < 2:
         raise EstimationError("random effects need at least 2 regions with rows")
 
-    flags: tuple[str, ...] = ()
     if theta_override is None:
-        components = estimate_variance_components(sample, spec)
-        theta = components.theta
-        if components.truncated:
-            flags += ("sigma2_u_truncated",)
-        if components.between_df == 0:
-            flags += ("between_zero_df",)
+        (_, _, theta, truncated, between_df), errors = _variance_components(sample, spec)
+        flags = (("sigma2_u_truncated", truncated), ("between_zero_df", between_df == 0))
     else:
         if not 0.0 <= theta_override <= 1.0:
             raise EstimationError(f"theta override outside [0, 1]: {theta_override!r}")
-        theta = {region: theta_override for region in sample.regions}
-        flags = ("theta_override",)
+        errors = _errors(sample)
+        theta = np.full((sample.members, len(sample.regions)), float(theta_override))
+        flags = (("theta_override", np.ones(sample.members, dtype=bool)),)
 
-    theta_regions = np.array([theta[region] for region in sample.regions])
-    y_star, slopes_star = sample.demeaned(theta_regions)
-    intercept_star = 1.0 - theta_regions[sample.rows.code]
-
+    y_star, slopes_star = sample.demeaned(theta)
+    intercept_star = 1.0 - theta[:, sample.rows.code]
     if not intercept_star.any():
         X = slopes_star
         labels = spec.slope_labels
-        flags = flags + ("intercept_dropped",)
+        flags += (("intercept_dropped", np.ones(sample.members, dtype=bool)),)
     else:
-        X = np.column_stack([intercept_star, slopes_star])
+        X = np.concatenate([intercept_star[..., None], slopes_star], axis=-1)
         labels = ("Const.",) + spec.slope_labels
-    design = DesignMatrix(X, labels, sample.rows.code, sample.rows.year)
-    fit = least_squares(design, y_star, method="gls")
-    return replace(fit, flags=fit.flags + flags) if flags else fit
+    return _result(sample, _solve(X, y_star, labels, "gls", errors, flags))
 
 
-def fit_method(method: str, sample: GrowthSample, spec: ModelSpec) -> FitResult:
+def fit_method(method: str, sample: GrowthSample, spec: ModelSpec) -> FitResult | _BlockFit:
     """Fit ``sample`` by ``method``, one of METHODS: the package's one
-    estimator dispatch."""
+    estimator dispatch. A block sample gives its fits with a member axis."""
     fitters = {"pooled": fit_pooled, "lsdv": fit_lsdv, "gls": fit_gls_random_effects}
     return fitters[method](sample, spec)

@@ -13,9 +13,10 @@ results are bit-identical regardless of execution order.
 
 The recovery experiment substitutes for the unpublished source data: it
 measures bias, spread and confidence coverage of each estimator on
-panels whose true convergence rate is known. Each replication's sample
-comes from its log levels through the one builder,
-``panel.growth_sample_from_logs``.
+panels whose true convergence rate is known. Replications run in
+blocks: each replication draws from its own generator, and the block's
+stacked log levels become one block sample through the one builder,
+``panel.growth_sample_from_logs``, fitted once per method.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ from .estimators import METHODS, ModelSpec
 from .estimators import fit_method as _fit  # the loop's seam: tests patch in a failing fit
 from .panel import CellGrid, PanelDataset, growth_sample_from_logs
 from .regression import t_critical
+
+# Log-level cells (replications x regions x periods) in one block of
+# replications, which keeps each of a block's arrays to a few MB.
+_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -120,38 +125,54 @@ def simulate_panel(config: SimulationConfig) -> PanelDataset:
     cell is positive and the panel is balanced.
     """
     regions = _region_names(config.regions)
-    log_p = _log_levels(config, config.seed)
+    log_p = _log_levels(config, config.seed)  # the one-member draw
     periods = tuple(range(1, config.periods + 1))
     levels = CellGrid(regions, periods, _checked_levels(log_p, regions))
     return PanelDataset(regions, periods, "simulated", levels)
 
 
-def _log_levels(config: SimulationConfig, seed: int) -> np.ndarray:
-    """The regions x periods log levels drawn from ``seed`` (in place of
-    ``config.seed``)."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+def _log_levels(config: SimulationConfig, seeds) -> np.ndarray:
+    """The regions x periods log levels drawn from each of ``seeds`` (in
+    place of ``config.seed``), stacked on a leading member axis; a single
+    seed gives a single grid.
+
+    Each seed has its own Philox generator, which draws the region
+    effects, the initial levels and the shocks, in that order. The AR
+    recursion then runs once over the stack, elementwise, so each
+    member's levels are those it would have on its own.
+    """
+    single = np.ndim(seeds) == 0
+    seeds = np.atleast_1d(seeds).tolist()
     r, t = config.regions, config.periods
     if isinstance(config.region_effects, tuple):
-        effects = np.asarray(config.region_effects, dtype=float)
+        effects = np.tile(config.region_effects, (len(seeds), 1))
     else:
-        effects = rng.normal(0.0, np.sqrt(config.region_effects), size=r)
+        effects = np.empty((len(seeds), r))
+    start, shocks = np.empty((len(seeds), r)), np.empty((len(seeds), r, t - 1))
+    for b, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        if not isinstance(config.region_effects, tuple):
+            effects[b] = rng.normal(0.0, np.sqrt(config.region_effects), size=r)
+        start[b] = rng.standard_normal(r)
+        shocks[b] = rng.standard_normal((r, t - 1))
 
     if config.b_true < 0.0:
         anchors = (config.intercept + effects) / (-config.b_true)
     else:
-        anchors = np.zeros(r)
-    by_year = np.empty((t, r))  # year-major, so each step writes one contiguous row
+        anchors = np.zeros_like(effects)
+    by_year = np.empty((t, len(seeds), r))  # year-major, so each step writes one contiguous slab
     # a level that overflows is reported by _checked_levels as the cell it spoils
     with np.errstate(over="ignore", invalid="ignore"):
-        by_year[0] = anchors + config.initial_dispersion * rng.standard_normal(r)
-        shocks = (config.noise_sd * rng.standard_normal((r, t - 1))).T
+        by_year[0] = anchors + config.initial_dispersion * start
+        steps = (config.noise_sd * shocks).transpose(2, 0, 1)
         drift, persistence = config.intercept + effects, 1.0 + config.b_true
-        for previous, year, shock in zip(by_year, by_year[1:], shocks):
+        for previous, year, shock in zip(by_year, by_year[1:], steps):
             # drift + persistence * previous + shock, added in place in that order
             np.multiply(previous, persistence, out=year)
             year += drift
             year += shock
-    return by_year.T
+    log_p = by_year.transpose(1, 2, 0)
+    return log_p[0] if single else log_p
 
 
 def _checked_levels(log_p: np.ndarray, regions: tuple[str, ...]) -> np.ndarray:
@@ -175,6 +196,22 @@ def _checked_levels(log_p: np.ndarray, regions: tuple[str, ...]) -> np.ndarray:
     )
 
 
+def _raise_first_failure(stages: list, first: int, methods: tuple[str, ...]) -> None:
+    """Raise a block's first failure in replication order, and within a
+    replication in stage order: ``stages[0]`` holds each member's level
+    check error, ``stages[1 + i]`` its error fitting ``methods[i]``, None
+    where it passed. ``first`` is the block's first replication."""
+    for b, errors in enumerate(zip(*stages)):
+        for step, error in enumerate(errors):
+            if error is None:
+                continue
+            if step == 0:
+                raise error
+            raise EstimationError(
+                f"replication {first + b} failed for {methods[step - 1]}: {error}"
+            ) from error
+
+
 def recovery_experiment(
     config: SimulationConfig,
     replications: int,
@@ -186,14 +223,16 @@ def recovery_experiment(
     empirical standard deviation (0 for a single replication), and the
     share of replications whose two-tailed 95% t-interval covers the
     true value. 100+ replications are recommended for reported
-    statistics. Per-replication seeds derive from the base seed, and
-    the replications run one after another.
+    statistics. Per-replication seeds derive from the base seed; the
+    replications run in blocks, with one fit per method per block.
 
     Raises
     ------
     EstimationError
         If any replication's fit fails; the message carries the
-        replication index.
+        replication index. The first failure in replication order is
+        reported, and within a replication its level check comes before
+        its fits, which come in ``methods`` order.
     """
     if replications < 1:
         raise EstimationError("at least one replication required")
@@ -208,29 +247,48 @@ def recovery_experiment(
     regions = _region_names(config.regions)
     periods = tuple(range(1, config.periods + 1))
     specs = {method: ModelSpec(method=method) for method in methods}
-    estimates: dict[str, list[float]] = {method: [] for method in methods}
-    covered: dict[str, int] = {method: 0 for method in methods}
-    for index, seed in enumerate(child_seeds.tolist()):
-        log_p = _log_levels(config, seed)
-        _checked_levels(log_p, regions)
-        sample = growth_sample_from_logs(log_p, regions, periods, "simulated")
-        for method in methods:
+    estimates = {method: np.empty(replications) for method in methods}
+    covered = dict.fromkeys(methods, 0)
+    size = max(1, _BLOCK_CELLS // (config.regions * config.periods))
+    for first in range(0, replications, size):
+        log_p = _log_levels(config, child_seeds[first : first + size])
+        # each member's first failure, stage by stage: its level check, then each method
+        stages = [[None] * len(log_p)]
+        with np.errstate(over="ignore"):
+            levels = np.exp(log_p)
+        bad = ~(np.isfinite(levels).all(axis=(1, 2)) & levels.all(axis=(1, 2)))
+        for b in np.flatnonzero(bad).tolist():
             try:
-                fit = _fit(method, sample, specs[method])
-            except Exception as error:
-                raise EstimationError(f"replication {index} failed for {method}: {error}") from error
-            b_hat = fit.coef("Coef.1")
-            estimates[method].append(b_hat)
-            half_width = t_critical(fit.df_residual, 0.05) * fit.se("Coef.1")
-            if abs(b_hat - config.b_true) <= half_width:
-                covered[method] += 1
+                _checked_levels(log_p[b], regions)
+            except PanelDataError as error:
+                stages[0][b] = error
+            log_p[b] = 0.0  # the member's fits go unread; finite levels keep its cells present
+        sample = growth_sample_from_logs(log_p, regions, periods, "simulated")
+        block = {}
+        # a failed member's arithmetic runs on (and may overflow) but is never read
+        with np.errstate(all="ignore"):
+            for method in methods:
+                try:
+                    block[method] = _fit(method, sample, specs[method])
+                except Exception as error:  # a failure every member shares
+                    stages.append([error] * len(log_p))
+                else:
+                    stages.append(block[method].errors)
+        if any(map(any, stages)):
+            _raise_first_failure(stages, first, methods)
+        for method, fits in block.items():
+            column = fits.labels.index("Coef.1")
+            b_hat = fits.coefficients[:, column]
+            estimates[method][first : first + len(b_hat)] = b_hat
+            half_width = t_critical(fits.df_residual, 0.05) * fits.std_errors[:, column]
+            covered[method] += int(np.count_nonzero(np.abs(b_hat - config.b_true) <= half_width))
 
     mean_estimate = {}
     mean_bias = {}
     sd = {}
     coverage = {}
     for method in methods:
-        values = np.asarray(estimates[method])
+        values = estimates[method]
         mean = float(values.mean())
         mean_estimate[method] = mean
         mean_bias[method] = mean - config.b_true

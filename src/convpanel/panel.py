@@ -167,8 +167,9 @@ class GrowthRow:
 class GrowthColumns(Sequence[GrowthRow]):
     """Growth-sample rows stored as columns: ``code`` indexes
     ``regions``, and each row of the n x (2 + m) ``data`` block holds y,
-    x and the m structural values. Indexing yields :class:`GrowthRow`
-    objects built on demand."""
+    x and the m structural values; a block of B samples on the same rows
+    has B x n x (2 + m) ``data``. Indexing a single sample's rows yields
+    :class:`GrowthRow` objects built on demand."""
 
     regions: tuple[str, ...]
     code: np.ndarray
@@ -201,6 +202,10 @@ class GrowthSample:
     region counts and region means are likewise computed once, on first
     use, and shared by the within fit, LSDV, the variance components
     and GLS.
+
+    A block sample stacks B members (Monte Carlo replications) on one
+    set of rows: its ``rows.data`` has a leading member axis, and ``y``,
+    ``slopes``, the region means and the demeaned data carry it too.
     """
 
     rows: GrowthColumns
@@ -212,6 +217,27 @@ class GrowthSample:
     source_cell_count: int
     fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        rows, width = self.rows, 2 + len(self.structural_names)
+        if not isinstance(rows, GrowthColumns):
+            raise PanelDataError(f"growth sample rows must be GrowthColumns, got {type(rows).__name__}")
+        n = len(rows.code)
+        if rows.data.ndim not in (2, 3) or rows.data.shape[-2:] != (n, width) or len(rows.year) != n:
+            raise PanelDataError(
+                f"growth sample data of shape {rows.data.shape} does not hold {n} rows of "
+                f"{width} columns, for one sample or a block"
+            )
+
+    @property
+    def batched(self) -> bool:
+        """Whether the sample is a block of members."""
+        return self.rows.data.ndim == 3
+
+    @property
+    def members(self) -> int:
+        """Members stacked in a block sample; 1 for a single sample."""
+        return len(self.rows.data) if self.batched else 1
+
     @property
     def row_count(self) -> int:
         return len(self.rows)
@@ -222,12 +248,12 @@ class GrowthSample:
 
     @property
     def y(self) -> np.ndarray:
-        return self.rows.data[:, 0]
+        return self.rows.data[..., 0]
 
     @property
     def slopes(self) -> np.ndarray:
         """The n x (1 + m) slope block: lagged log level, then structural."""
-        return self.rows.data[:, 1:]
+        return self.rows.data[..., 1:]
 
     @cached_property
     def region_counts(self) -> np.ndarray:
@@ -239,22 +265,28 @@ class GrowthSample:
     def region_means(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-region means of y (length R) and of the slope block (R x (1 + m))."""
         means = self._data_means
-        return means[:, 0], means[:, 1:]
+        return means[..., 0], means[..., 1:]
 
     def demeaned(self, theta: float | np.ndarray = 1.0) -> tuple[np.ndarray, np.ndarray]:
         """y and the slope block less theta times their region means.
 
         ``theta`` is one weight per region, or one for all; 1 gives the
-        within transform.
+        within transform. Weights per member and region (B x R) give a
+        block.
         """
-        star = self.rows.data - (np.reshape(theta, (-1, 1)) * self._data_means)[self.rows.code]
-        return star[:, 0], star[:, 1:]
+        means = np.asarray(theta)[..., None] * self._data_means
+        star = self.rows.data - means[..., self.rows.code, :]
+        return star[..., 0], star[..., 1:]
 
     @cached_property
     def _data_means(self) -> np.ndarray:
-        counts = self.region_counts
-        sums = [np.bincount(self.rows.code, column, counts.size) for column in self.rows.data.T]
-        means = np.column_stack(sums) / counts[:, None]
+        counts, data = self.region_counts, self.rows.data
+        # one bincount per column over all members: member b's regions are
+        # bins b R .. b R + R - 1, each summed in row order
+        bins = (self.rows.code + counts.size * np.arange(self.members)[:, None]).ravel()
+        columns = data.reshape(-1, data.shape[-1]).T
+        sums = [np.bincount(bins, column, self.members * counts.size) for column in columns]
+        means = np.column_stack(sums).reshape(data.shape[:-2] + (counts.size, -1)) / counts[:, None]
         means.flags.writeable = False
         return means
 
@@ -311,6 +343,10 @@ def growth_sample_from_logs(
     ``structural`` grid of the same shape, in order, gives a regressor
     dated t-1. ``source_cell_count`` counts the present cells.
 
+    Grids with a leading member axis (B x regions x periods) give a block
+    sample; its rows are those of the first member, whose present cells
+    every member must have.
+
     Raises
     ------
     PanelDataError
@@ -318,7 +354,7 @@ def growth_sample_from_logs(
         on a usable transition.
     """
     names = tuple(structural or ())
-    present = ~np.isnan(logs)
+    present = ~np.isnan(logs.reshape((-1,) + logs.shape[-2:])[0])
     years = np.array(periods)
     annual = years[1:] - years[:-1] == 1
     starts, ends = present[:, :-1] & annual, present[:, 1:] & annual
@@ -329,12 +365,14 @@ def growth_sample_from_logs(
             f"no usable transitions in sector {sector!r}: "
             "every consecutive-year pair is missing at least one endpoint"
         )
-    x = logs[region, step]
-    block = np.column_stack(
-        [logs[region, step + 1] - x, x] + [structural[name][region, step] for name in names]
-    )
-    if names and np.isnan(block[:, 2:]).any():
-        i, k = np.argwhere(np.isnan(block[:, 2:]))[0]
+    block = np.empty(logs.shape[:-2] + (region.size, 2 + len(names)))
+    x = logs[..., region, step]
+    block[..., 1] = x
+    np.subtract(logs[..., region, step + 1], x, out=block[..., 0])
+    for k, name in enumerate(names):
+        block[..., 2 + k] = structural[name][..., region, step]
+    if names and np.isnan(block[..., 2:]).any():
+        i, k = np.argwhere(np.isnan(block[..., 2:]))[0][-2:]
         prev, year = periods[step[i]], periods[step[i] + 1]
         raise PanelDataError(
             f"missing structural value {names[k]!r} for region {regions[region[i]]!r} "

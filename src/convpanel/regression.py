@@ -1,11 +1,13 @@
 """Deterministic least-squares engine with classical inference.
 
-All estimators in the package reduce to :func:`least_squares` on a
-labeled design matrix. The solver is a column-pivoted Householder QR
-written in numpy (the normal equations are kept for test oracles only);
-it reports classical homoskedastic standard errors, a centered-TSS
-R-squared, and a panel-aware Durbin-Watson statistic whose first
-differences never cross region boundaries. Critical values invert the
+All estimators in the package reduce to one solver, a column-pivoted
+Householder QR written in numpy (the normal equations are kept for test
+oracles only). It fits a block of members that share a design shape at
+once, as Monte Carlo replications do; :func:`least_squares` on a
+labeled design matrix is its one-member case. A fit reports classical
+homoskedastic standard errors, a centered-TSS R-squared, and a
+panel-aware Durbin-Watson statistic whose first differences never cross
+region boundaries. Critical values invert the
 regularized incomplete beta function. The module needs numpy and the
 standard library only.
 """
@@ -106,6 +108,7 @@ def least_squares(design: DesignMatrix, y: Sequence[float], method: str = "poole
     come from s^2 (X'X)^{-1} with s^2 = SSE/(n-k); R-squared is
     1 - SSE/TSS with TSS centered at the response mean for every method
     (it can be negative for no-intercept designs and is reported as-is).
+    This is the one-member case of the block solver behind every fit.
 
     Raises
     ------
@@ -113,133 +116,277 @@ def least_squares(design: DesignMatrix, y: Sequence[float], method: str = "poole
         If n <= k, or if the design holds a NaN or an infinity.
         If the norm of a design column overflows, the error names it.
     RankDeficientError
-        If a pivot falls below ``RANK_TOLERANCE`` relative to the largest
-        one; the error names the offending column.
+        If a pivot is not above ``RANK_TOLERANCE`` relative to the largest
+        one (a zero largest pivot included); the error names the
+        offending column.
     """
-    X = design.values
-    n, k = X.shape
+    n = design.values.shape[0]
     response = np.asarray(y, dtype=float)
     if response.shape != (n,):
         raise EstimationError(f"response length {response.shape} does not match {n} design rows")
+    return _solve(design.values, response, design.labels, method).member(0, design.regions, design.years)
+
+
+@dataclass(frozen=True)
+class _BlockFit:
+    """Least-squares fits of a block of members that share one design
+    shape: every array leads with the member axis.
+
+    ``errors`` is None when the fit raised at its first failed check (a
+    single sample); for a block it holds each member's first failure, or
+    None, and the arrays of a failed member hold whatever its arithmetic
+    gave. ``flags`` pairs each flag with the members it applies to, and
+    ``response`` is what R-squared is centered on.
+    """
+
+    method: str
+    labels: tuple[str, ...]
+    coefficients: np.ndarray
+    std_errors: np.ndarray
+    residuals: np.ndarray
+    sse: np.ndarray
+    df_residual: int
+    response: np.ndarray
+    xtx_inv: np.ndarray | None
+    errors: list | None
+    flags: tuple[tuple[str, np.ndarray], ...] = ()
+
+    def member(self, b: int, regions, years) -> FitResult:
+        """Member ``b`` as a FitResult, its grouped Durbin-Watson taken
+        over ``regions`` and ``years``; a failed member raises its error."""
+        if self.errors is not None and self.errors[b] is not None:
+            raise self.errors[b]
+        residuals = self.residuals[b]
+        sse = float(self.sse[b])
+        tss, r2 = r_squared(sse, self.response[b])
+        xtx_inv = None if self.xtx_inv is None else self.xtx_inv[b]
+        for array in (residuals, xtx_inv):
+            if array is not None:
+                array.flags.writeable = False
+        return FitResult(
+            method=self.method,
+            labels=self.labels,
+            coefficients=tuple(self.coefficients[b].tolist()),
+            std_errors=tuple(self.std_errors[b].tolist()),
+            t_stats=t_ratios(self.coefficients[b], self.std_errors[b]),
+            residuals=residuals,
+            sse=sse,
+            tss_centered=tss,
+            r_squared=r2,
+            df_residual=self.df_residual,
+            dw=durbin_watson(residuals, regions, years),
+            flags=tuple(flag for flag, members in self.flags if members[b]),
+            xtx_inv=xtx_inv,
+        )
+
+
+def _fail(errors: list | None, failed: np.ndarray, make) -> None:
+    """Give each member flagged in ``failed`` the error ``make(member)``.
+
+    With no error list (a single sample) the error is raised at once, as
+    member 0's; in a block a member keeps the first error it was given,
+    so the checks decide in the order they run.
+    """
+    if errors is None:
+        if failed[0]:
+            raise make(0)
+        return
+    for b in np.flatnonzero(failed).tolist():
+        if errors[b] is None:
+            errors[b] = make(b)
+
+
+def _check_norms(norms: np.ndarray, labels: Sequence[str], errors: list | None) -> None:
+    """Fail each member (a row of ``norms``) with an infinite column norm,
+    naming its first such column: numpy sums of squares overflow without
+    a warning, and a fit on such a column would print NaN estimates."""
+    infinite = norms == math.inf
+    _fail(errors, infinite.any(axis=1), lambda b: EstimationError(
+        f"column {labels[int(np.argmax(infinite[b]))]!r} out of floating-point range: its norm overflows"
+    ))
+
+
+def _solve(
+    X: np.ndarray,
+    y: np.ndarray,
+    labels: Sequence[str],
+    method: str,
+    errors: list | None = None,
+    flags: tuple[tuple[str, np.ndarray], ...] = (),
+) -> _BlockFit:
+    """Fit each member's response on its design: X is n x k or B x n x k,
+    y is n or B x n, and the result, which carries ``flags``, has a
+    member axis either way.
+
+    ``errors`` is the block's error list, or None to raise at the first
+    failed check; the checks run in :func:`least_squares`'s order.
+    """
+    n, k = X.shape[-2:]
     if n <= k:
         raise EstimationError(f"need more rows than columns, got n={n}, k={k}")
-    if not np.isfinite(X).all():
-        raise EstimationError("design matrix must be finite")
-
-    R, qty, piv = _pivoted_qr(X, response, design.labels)
-    diag = np.abs(R.diagonal()).tolist()
-    if diag[0] == 0.0:
-        raise RankDeficientError(design.labels[piv[0]])
-    for j, pivot in enumerate(diag):
-        if pivot < RANK_TOLERANCE * diag[0]:
-            raise RankDeficientError(design.labels[piv[j]])
+    X, y = X.reshape(-1, n, k), y.reshape(-1, n)
+    work, piv = _factor(X, y, labels, errors)
+    R = work[:, :k, :k].transpose(0, 2, 1)  # only its upper triangle is meaningful
+    kept = _kept_pivots(R)
+    _fail(errors, ~np.logical_and.reduce(kept, axis=1), lambda b: RankDeficientError(
+        labels[piv[b, np.argmin(kept[b])]]
+    ))
 
     # One back-substitution gives the pivoted coefficients and R^{-1};
     # writing the rows back to their pivot positions undoes the pivoting.
-    rhs = np.eye(k, k + 1, 1)
-    rhs[:, 0] = qty
-    solution = np.empty((k, k + 1))
-    solution[piv] = _back_substitute(R, rhs)
-    beta, r_inv = solution[:, 0], solution[:, 1:]
+    rhs = np.zeros((len(X), k, k + 1))
+    rhs[:, :, 0] = work[:, k, :k]
+    rhs[:, :, 1:] = np.eye(k)
+    solution = np.empty_like(rhs)
+    solution[np.arange(len(X))[:, None], piv] = _back_substitute(R, rhs)
+    beta, r_inv = solution[:, :, 0], solution[:, :, 1:]
 
-    residuals = response - X @ beta
-    sse = float(residuals @ residuals)
-    tss, r2 = r_squared(sse, response)
-
+    residuals = y - np.matmul(X, beta[:, :, None])[:, :, 0]
+    sse = np.matmul(residuals[:, None, :], residuals[:, :, None])[:, 0, 0]
     df = n - k
-    xtx_inv = r_inv @ r_inv.T
-    std_errors = np.sqrt(sse / df * xtx_inv.diagonal())
-
-    residuals.flags.writeable = False
-    xtx_inv.flags.writeable = False
-    return FitResult(
-        method=method,
-        labels=design.labels,
-        coefficients=tuple(beta.tolist()),
-        std_errors=tuple(std_errors.tolist()),
-        t_stats=t_ratios(beta, std_errors),
-        residuals=residuals,
-        sse=sse,
-        tss_centered=tss,
-        r_squared=r2,
-        df_residual=df,
-        dw=durbin_watson(residuals, design.regions, design.years),
-        xtx_inv=xtx_inv,
-    )
+    xtx_inv = np.matmul(r_inv, r_inv.transpose(0, 2, 1))
+    std_errors = np.sqrt((sse / df)[:, None] * xtx_inv.diagonal(0, 1, 2))
+    return _BlockFit(method, tuple(labels), beta, std_errors, residuals, sse, df, y, xtx_inv, errors, flags)
 
 
-def _check_norms(norms: list[float], labels: Sequence[str]) -> None:
-    """Raise EstimationError naming the first column whose norm is
-    infinite: numpy sums of squares overflow without a warning, and a
-    fit on such a column would print NaN estimates."""
-    if math.inf in norms:
-        label = labels[norms.index(math.inf)]
-        raise EstimationError(f"column {label!r} out of floating-point range: its norm overflows")
+def _rank_fit(
+    X: np.ndarray, y: np.ndarray, labels: Sequence[str], errors: list | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each member's rank of X and the residual sum of squares of y on
+    it, where a rank-deficient X is no error: the rank counts the leading
+    pivots that pass the rank test of :func:`_kept_pivots`, and the
+    residual is what Q'y holds past them."""
+    n, k = X.shape[-2:]
+    work, _ = _factor(X.reshape(-1, n, k), y.reshape(-1, n), labels, errors)
+    rank = np.add.reduce(np.logical_and.accumulate(_kept_pivots(work[:, :k, :k]), axis=1), axis=1)
+    tail = np.where(np.arange(n) >= rank[:, None], work[:, k], 0.0)
+    return rank, np.matmul(tail[:, None, :], tail[:, :, None])[:, 0, 0]
 
 
-def _pivoted_qr(
-    X: np.ndarray, y: np.ndarray, labels: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Householder QR with column pivoting (Businger & Golub, 1965).
+def _factor(
+    X: np.ndarray, y: np.ndarray, labels: Sequence[str], errors: list | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pivoted QR factors of each member's X (B x n x k), applied to
+    its y (B x n): the work array and pivot order of :func:`_pivoted_qr`."""
+    work = np.concatenate([X.transpose(0, 2, 1), y[:, None, :]], axis=1)
+    return work, _pivoted_qr(work, labels, errors)
 
-    Returns the k x k factor R (only its upper triangle is meaningful),
-    the first k entries of Q'y and the pivot order, with X[:, piv] = Q R.
-    As in LAPACK ``geqp3``, each step pivots on the largest remaining
-    column norm (the first index wins a tie), the norms are downdated
-    from the new row of R and recomputed when cancellation has eaten half
-    their digits, and the reflectors follow ``dlarfg``. The reflectors
-    are applied to y as they are made, so Q is never formed. Columns of X
-    are rows of the work array, with y as its last row, so that every
-    reflection is one matrix-vector product. A column whose norm
-    overflows is an EstimationError naming its label.
+
+def _kept_pivots(R: np.ndarray) -> np.ndarray:
+    """Which pivots on each member's R diagonal pass the rank test: more
+    than ``RANK_TOLERANCE`` times the largest one, which must not be 0."""
+    diag = np.abs(R.diagonal(0, 1, 2))
+    return diag > RANK_TOLERANCE * diag[:, :1]
+
+
+def _pivoted_qr(work: np.ndarray, labels: Sequence[str], errors: list | None) -> np.ndarray:
+    """Householder QR with column pivoting (Businger & Golub, 1965) of
+    each member of a block, in place.
+
+    ``work`` is B x (k + 1) x n: each member's k design columns as rows,
+    then its response. On return work[:, :k, :k] holds R transposed
+    (X[:, piv] = Q R), work[:, k] holds Q'y and the pivot order is
+    returned, B x k. As in LAPACK ``geqp3``, each step pivots on the
+    largest remaining column norm (the first index wins a tie), the norms
+    are downdated from the new row of R and recomputed when cancellation
+    has eaten half their digits, and the reflectors follow ``dlarfg``.
+    The reflectors are applied to y as they are made, so Q is never
+    formed. Each step's few scalars are worked out member by member; all
+    the arithmetic on rows runs once over the block. A member whose
+    design holds a NaN or an infinity fails with an EstimationError, and
+    so does one with a column whose norm overflows, the error naming its
+    label.
     """
-    n, k = X.shape
-    work = np.empty((k + 1, n))
-    work[:k] = X.T
-    work[k] = y
-    piv = list(range(k))
-    norms = np.sqrt(np.einsum("ij,ij->i", work[:k], work[:k])).tolist()
-    _check_norms(norms, labels)
-    exact = norms[:]  # each norm as last computed in full
+    B, k = work.shape[0], work.shape[1] - 1
+    columns = work[:, :k]
+    norms = np.sqrt(np.einsum("bij,bij->bi", columns, columns))  # einsum overflows without a warning
+    if not np.isfinite(norms).all():  # a NaN or an infinity, or a norm that overflows
+        finite = np.isfinite(columns).all(axis=(1, 2))
+        _fail(errors, ~finite, lambda b: EstimationError("design matrix must be finite"))
+        _check_norms(norms, labels, errors)
+    # per member and column: the norm, the norm as last computed in full,
+    # and the column's index in X, swapped together
+    state = np.empty((B, k, 3))
+    state[:, :, 0] = state[:, :, 1] = norms
+    state[:, :, 2] = np.arange(k)
+    norms, exact = state[:, :, 0], state[:, :, 1]
     for j in range(k):
-        p = max(range(j, k), key=norms.__getitem__)
-        if p != j:
-            work[[j, p]] = work[[p, j]]
-            piv[j], piv[p] = piv[p], piv[j]
-            norms[p], exact[p] = norms[j], exact[j]
-        column = work[j, j:]
-        alpha = float(column[0])
-        below = math.sqrt(column[1:] @ column[1:])
-        if below > 0.0:
-            # dlapy2's sqrt(alpha^2 + below^2), not math.hypot: on an exact
-            # dependency LAPACK's rounding decides which column is flagged.
-            big, small = max(abs(alpha), below), min(abs(alpha), below)
-            beta = -math.copysign(big * math.sqrt(1.0 + (small / big) ** 2), alpha)
-            v = column * (1.0 / (alpha - beta))
-            v[0] = 1.0
-            rest = work[j + 1 :, j:]
-            rest -= ((beta - alpha) / beta * (rest @ v))[:, None] * v
-        else:
-            beta = alpha
-        work[j, j] = beta  # work[j:k, j] is now row j of R
-        for col in range(j + 1, k):
-            if norms[col] == 0.0:
+        p = norms[:, j:].argmax(axis=1) if j + 1 < k else 0
+        if np.count_nonzero(p):  # swap column j with each member's pivot
+            _swap(j, p + j, work, state)
+        column = work[:, j, j:]
+        below = np.sqrt(np.matmul(column[:, None, 1:], column[:, 1:, None])[:, 0, 0])
+        scalars = map(_dlarfg, column[:, 0].tolist(), below.tolist())
+        beta, scale, tau = np.array(list(scalars)).T
+        v = column * scale[:, None]
+        v[:, 0] = 1.0
+        rest = work[:, j + 1 :, j:]
+        rest -= tau[:, None, None] * np.matmul(rest, v[:, :, None]) * v[:, None, :]
+        work[:, j, j] = beta  # work[:, j:k, j] is now row j of R
+        if j + 2 < k:
+            _downdate(work, norms, exact, j)
+    return state[:, :, 2].astype(np.intp)
+
+
+def _swap(j: int, p: np.ndarray, *arrays: np.ndarray) -> None:
+    """Swap row j of each member of ``arrays`` with its row p[member]: a
+    plain row swap when every member pivots alike (as a single sample
+    does), else one gather and one scatter."""
+    if not np.count_nonzero(p != p[0]):
+        q = int(p[0])
+        for array in arrays:
+            array[:, j], array[:, q] = array[:, q].copy(), array[:, j].copy()
+        return
+    pair = np.empty((len(p), 2), dtype=np.intp)
+    pair[:, 0], pair[:, 1] = j, p
+    members = np.arange(len(p))[:, None]
+    for array in arrays:
+        array[members, pair] = array[members, pair[:, ::-1]]
+
+
+def _dlarfg(alpha: float, below: float) -> tuple[float, float, float]:
+    """LAPACK ``dlarfg`` for a column whose first entry is ``alpha`` and
+    whose entries below it have norm ``below``: R's diagonal entry beta,
+    the factor that scales the column into the reflector v (whose first
+    entry is then set to 1), and tau, with H = I - tau v v'. With nothing
+    below alpha there is no reflection."""
+    if not below > 0.0:
+        return alpha, 0.0, 0.0
+    # dlapy2's sqrt(alpha^2 + below^2), not math.hypot: on an exact
+    # dependency LAPACK's rounding decides which column is flagged.
+    big, small = max(abs(alpha), below), min(abs(alpha), below)
+    beta = -math.copysign(big * math.sqrt(1.0 + (small / big) ** 2), alpha)
+    return beta, 1.0 / (alpha - beta), (beta - alpha) / beta
+
+
+def _downdate(work: np.ndarray, norms: np.ndarray, exact: np.ndarray, j: int) -> None:
+    """Downdate, member by member, the norms of the columns after ``j``
+    (which are still to be compared) from row j of R, recomputing one
+    whose downdate has lost half its digits to cancellation; a zero norm
+    stays zero."""
+    k = work.shape[1] - 1
+    rows = np.abs(work[:, j + 1 : k, j]).tolist()
+    for b, (row, left, full) in enumerate(zip(rows, norms[:, j + 1 :].tolist(), exact[:, j + 1 :].tolist())):
+        for col, r, norm, last in zip(range(j + 1, k), row, left, full):
+            if norm == 0.0:
                 continue
-            ratio = max(0.0, 1.0 - (abs(work[col, j]) / norms[col]) ** 2)
-            if ratio * (norms[col] / exact[col]) ** 2 <= _NORM_RECOMPUTE:
-                tail = work[col, j + 1 :]
-                norms[col] = exact[col] = math.sqrt(tail @ tail)
+            q = r / norm
+            ratio = max(0.0, 1.0 - q * q)
+            if ratio * (norm / last) * (norm / last) <= _NORM_RECOMPUTE:
+                tail = work[b, col, j + 1 :]
+                norms[b, col] = exact[b, col] = math.sqrt(tail @ tail)
             else:
-                norms[col] *= math.sqrt(ratio)
-    return work[:k, :k].T, work[k, :k], piv
+                norms[b, col] = norm * math.sqrt(ratio)
 
 
 def _back_substitute(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve R Z = rhs in place for R with a nonzero diagonal, reading
-    only its upper triangle."""
-    for i in range(R.shape[0] - 1, -1, -1):
-        rhs[i] -= R[i, i + 1 :] @ rhs[i + 1 :]
-        rhs[i] /= R[i, i]
+    """Solve R Z = rhs in place for each member's R (B x k x k, nonzero
+    diagonal), reading only its upper triangle."""
+    k = R.shape[1]
+    for i in range(k - 1, -1, -1):
+        if i + 1 < k:
+            rhs[:, i] -= np.matmul(R[:, i, None, i + 1 :], rhs[:, i + 1 :])[:, 0]
+        rhs[:, i] /= R[:, i, i, None]
     return rhs
 
 

@@ -266,7 +266,7 @@ class TestRenderReport:
         import numpy as np
 
         from convpanel.convergence import report_from_fit
-        from convpanel.panel import GrowthSample
+        from convpanel.panel import GrowthColumns, GrowthSample
         from convpanel.regression import FitResult
 
         fit = FitResult(
@@ -282,8 +282,9 @@ class TestRenderReport:
             df_residual=38,
             dw=1.851,
         )
+        no_rows = GrowthColumns(("a",), np.empty(0, np.intp), np.empty(0, int), np.empty((0, 2)))
         sample = GrowthSample(
-            rows=(), structural_names=(), regions=("a",), panel_regions=("a",),
+            rows=no_rows, structural_names=(), regions=("a",), panel_regions=("a",),
             sector="s", dropped_transitions=0, source_cell_count=45,
         )
         report = report_from_fit(fit, ModelSpec(method="pooled"), sample)

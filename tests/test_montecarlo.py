@@ -155,14 +155,12 @@ class TestRecoveryExperiment:
         import convpanel.montecarlo as mc
         from convpanel.errors import EstimationError
 
-        calls = {"n": 0}
         real_fit = mc._fit
 
         def failing_fit(method, sample, spec):
-            if calls["n"] == 3:
-                raise EstimationError("forced failure")
-            calls["n"] += 1
-            return real_fit(method, sample, spec)
+            fits = real_fit(method, sample, spec)
+            fits.errors[3] = EstimationError("forced failure")  # member 3 of the one block
+            return fits
 
         monkeypatch.setattr(mc, "_fit", failing_fit)
         config = SimulationConfig(seed=1, regions=5, periods=9, b_true=-0.3)

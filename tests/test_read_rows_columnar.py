@@ -36,7 +36,7 @@ from convpanel.io_report import (
     read_rows,
     render_report,
 )
-from convpanel.panel import GrowthSample, PanelDataset
+from convpanel.panel import GrowthColumns, GrowthSample, PanelDataset
 from convpanel.regression import FitResult
 
 # ---------------------------------------------------------------------------
@@ -450,8 +450,9 @@ def test_non_finite_values_render_as_null():
         df_residual=10,
         dw=None,
     )
+    no_rows = GrowthColumns(("a", "b"), np.empty(0, np.intp), np.empty(0, int), np.empty((0, 2)))
     sample = GrowthSample(
-        rows=(), structural_names=(), regions=("a", "b"), panel_regions=("a", "b"),
+        rows=no_rows, structural_names=(), regions=("a", "b"), panel_regions=("a", "b"),
         sector="s", dropped_transitions=0, source_cell_count=14,
     )
     report = report_from_fit(fit, ModelSpec(method="pooled"), sample)

@@ -5,7 +5,7 @@ in strict year order as they come; any other order, or string regions,
 goes through the general sort. Both must give the grouped statistic.
 ``recovery_experiment`` is pinned to figures recorded before the loop
 built its samples straight from the simulated log levels, and it makes
-exactly one fit call per replication and method.
+exactly one fit call per method for each block of replications.
 """
 
 import math
@@ -149,7 +149,7 @@ def test_recovery_experiment_matches_pinned_figures(effects):
         assert stats.coverage[method] == coverage
 
 
-def test_one_fit_per_replication_and_method_in_replication_order(monkeypatch):
+def test_one_fit_per_method_per_block_in_method_order(monkeypatch):
     calls = []
     real_fit = mc._fit
 
@@ -158,12 +158,19 @@ def test_one_fit_per_replication_and_method_in_replication_order(monkeypatch):
         return real_fit(method, sample, spec)
 
     monkeypatch.setattr(mc, "_fit", counting_fit)
+    monkeypatch.setattr(mc, "_BLOCK_CELLS", 3 * 5 * 9)  # three replications a block at 5x9
     config = SimulationConfig(seed=3, regions=5, periods=9, b_true=-0.3)
     methods = ("gls", "pooled", "lsdv")
     recovery_experiment(config, 7, methods)
-    assert [method for method, _ in calls] == list(methods) * 7
-    samples = [sample for _, sample in calls]
-    for index in range(7):  # the methods of one replication share its sample
-        batch = samples[3 * index : 3 * index + 3]
-        assert all(sample is batch[0] for sample in batch)
-    assert len({id(sample) for sample in samples}) == 7
+    assert [method for method, _ in calls] == list(methods) * 3
+    seeds = np.random.SeedSequence(3).generate_state(7, np.uint64).tolist()
+    regions, periods = mc._region_names(5), tuple(range(1, 10))
+    for block, first in enumerate((0, 3, 6)):
+        samples = [sample for _, sample in calls[3 * block : 3 * block + 3]]
+        assert all(sample is samples[0] for sample in samples)  # the methods of a block share its sample
+        # the block's members are its replications, in order
+        expected = [
+            growth_sample_from_logs(mc._log_levels(config, seed), regions, periods, "simulated").rows.data
+            for seed in seeds[first : first + 3]
+        ]
+        assert np.array_equal(samples[0].rows.data, np.stack(expected))
