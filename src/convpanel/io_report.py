@@ -6,15 +6,16 @@ Input files are long-format CSV, one row per (region, year, sector):
         [,goods_flow_output_ratio][,employment]
 
 UTF-8 (a byte-order mark is skipped), comma delimited, decimal point;
-numeric cells must be finite. The whole file, every sector, is read
-once into columns and validated in one columnar pass; the first bad
-row, by line, is reported. A pseudo-region ``NATIONAL`` may carry
-national employment totals for location-quotient construction; it
-never enters estimation. Each renderer builds one JSON payload whose
-``rows`` the md and tsv formats print as table rows. Reports render one
-row per method (Pooling, LSDV, GLS), estimates printed to 3 decimals
-(ties away from zero) with t-statistics in parentheses and stars per the
-significance classes; the JSON format keeps full precision.
+numeric cells must be finite. One ``csv.reader`` pass reads the whole
+file, every sector, into columns and integer region, year and sector
+codes, validated column by column; the first bad row, by line, is
+reported. A pseudo-region ``NATIONAL`` may carry national employment
+totals for location-quotient construction; it never enters estimation.
+Each renderer builds one JSON payload whose ``rows`` the md and tsv
+formats print as table rows. Reports render one row per method (Pooling,
+LSDV, GLS), estimates printed to 3 decimals (ties away from zero) with
+t-statistics in parentheses and stars per the significance classes; the
+JSON format keeps full precision.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
-from itertools import compress, product
+from itertools import chain, compress, product
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
@@ -57,15 +58,17 @@ FORMATS = ("md", "tsv", "json")
 @dataclass(frozen=True, eq=False)
 class PanelRows:
     """Validated CSV rows stored as columns, in file order: one entry per
-    row in ``region``, ``year``, ``sector`` and ``line``, and one row per
-    column of ``NUMERIC_COLUMNS`` in ``numbers``, NaN where a cell is
-    empty."""
+    row in ``region``, ``year``, ``sector`` and ``line``, one row per
+    column of ``NUMERIC_COLUMNS`` in ``numbers`` (NaN for an empty cell),
+    and one row per key column in ``codes``: indices into its sorted ``labels``."""
 
-    region: Sequence[str]
-    year: Sequence[int]
-    sector: Sequence[str]
+    region: list[str]
+    year: list[int]
+    sector: list[str]
     numbers: np.ndarray
-    line: Sequence[int]
+    line: list[int]
+    labels: tuple[tuple[str, ...], tuple[int, ...], tuple[str, ...]]
+    codes: np.ndarray
 
     def __len__(self) -> int:
         return len(self.line)
@@ -74,10 +77,10 @@ class PanelRows:
 def read_rows(source: str | Path | TextIO) -> PanelRows:
     """Parse and validate every row of a long-format panel CSV.
 
-    The text is read once into columns and each check runs over whole
-    columns. A file with several bad rows is reported by the first, with
-    the message of the first check it fails, in the order of
-    ``_reject_row``.
+    One ``csv.reader`` pass lays the rows' fields end to end in one list,
+    keeping no object per record, and each check runs over whole columns
+    of it. A file with several bad rows is reported by the first, with
+    the message of the first check it fails, in the order of ``_reject_row``.
 
     Raises
     ------
@@ -96,55 +99,56 @@ def read_rows(source: str | Path | TextIO) -> PanelRows:
         except OSError as error:  # a directory, say, or no permission
             raise PanelDataError(f"cannot read input file {path}: {error.strerror}") from None
 
-    reader = csv.reader(source)
-    # records are kept as tuples: the garbage collector stops tracking a
-    # tuple of strings, so a long file does not make it scan every record
-    records: list[tuple[str, ...]] = []
-    lines: list[int] = []  # the reader's line count after each record
-    try:  # list.extend keeps what was read before the reader raised
-        lines.extend(reader.line_num for _ in map(records.append, map(tuple, reader)))
+    reader, header = csv.reader(source), None
+    fields, lines = [], [0]  # the rows' fields end to end; the header's and rows' last lines
+    try:
+        header = next(reader, None)
+        lines[0] = reader.line_num
+        for record in filter(None, reader):  # blank lines hold no row
+            if len(record) != len(header):  # cut or padded to the header: short rows end blank
+                record = (record + [""] * len(header))[: len(header)]
+            fields += record
+            lines.append(reader.line_num)
     except (csv.Error, UnicodeDecodeError) as error:
-        if records:
-            _columns(records, lines)  # a bad row read before the failure is reported first
-        last = lines[-1] if lines else 0
-        raise PanelDataError(f"cannot read CSV after line {last}: {error}") from None
-    if not records:
+        if header is not None:
+            _columns(header, fields, lines)  # a bad row read before the failure is reported first
+        raise PanelDataError(f"cannot read CSV after line {lines[-1]}: {error}") from None
+    if header is None:
         raise PanelDataError("empty file: header row required")
-    return _columns(records, lines)
+    return _columns(header, fields, lines)
 
 
-def _columns(records: list[tuple[str, ...]], lines: list[int]) -> PanelRows:
-    """Validate parsed CSV records (header first) and store them as columns."""
-    header = records[0]
-    if header and header[0].startswith("\ufeff"):
-        header = [header[0][1:], *header[1:]]
+def _columns(header: list[str], fields: list[str], lines: list[int]) -> PanelRows:
+    """Validate CSV rows, given as their fields end to end, each as wide as
+    the header, and the lines of the header and each row; store them as columns."""
+    header = [header[0].removeprefix("\ufeff"), *header[1:]] if header else header
     missing = [column for column in REQUIRED_COLUMNS if column not in header]
     if missing:
         raise PanelDataError(f"header is missing required columns: {', '.join(missing)}")
     index = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
-    body, line = records[1:], lines[1:]
-    if () in body:  # blank lines hold no row
-        body, line = list(compress(body, body)), list(compress(line, body))
-    width = 1 + max(index[name] for name in COLUMNS if name in index)
-    if body and min(map(len, body)) < width:  # a short row's last cells are empty
-        body = [row + ("",) * (width - len(row)) for row in body]
-    table, n = list(zip(*body)) or [()] * width, len(body)
+    line, n = lines[1:], len(lines) - 1
 
-    def cells(name: str) -> Sequence[str]:
-        return table[index[name]] if name in index else ("",) * n
+    def cells(name: str) -> list[str]:
+        return fields[index[name] :: len(header)] if name in index else [""] * n
 
     region, sector = (list(map(str.strip, cells(name))) for name in ("region", "sector"))
     year = _parsed(int, map(str.strip, cells("year")))
-    numbers, failing = zip(*(_numbers(cells(c), c in POSITIVE_COLUMNS) for c in NUMERIC_COLUMNS))
+    numbers, failing = _numbers([cells(name) for name in NUMERIC_COLUMNS])
     first = min(len(year), *failing, *(col.index("") for col in (region, sector) if "" in col))
-    keys = list(zip(region, year, sector))[: first + 1]
-    if first < n or len(set(keys)) < len(keys):
-        earliest = dict(zip(reversed(keys), reversed(range(len(keys)))))  # key -> its first row
-        row = next((i for i, key in enumerate(keys) if earliest[key] != i), first)
-        seen = earliest[keys[row]] if row < len(keys) else row
-        bad = {name: cells(name)[row] for name in COLUMNS}
-        _reject_row(bad, line[row], line[seen] if seen != row else None)
-    return PanelRows(region, year, sector, np.array(numbers), line)
+    keyed = [column[: len(year)] for column in (region, year, sector)]  # up to a bad year
+    labels = tuple(tuple(sorted(set(column))) for column in keyed)
+    codes = np.stack([CellGrid.codes(*pair) for pair in zip(labels, keyed)])
+    # the first row with each key; numbering the cells first keeps keys below rows**2
+    cell = np.unique(codes[0] * len(labels[1]) + codes[1], return_inverse=True)[1]
+    key = cell * len(labels[2]) + codes[2]
+    _, head, key = np.unique(key, return_index=True, return_inverse=True)
+    seen = head[key]
+    repeats = np.flatnonzero(seen != np.arange(len(seen)))
+    row = min(first, int(repeats[0])) if repeats.size else first  # the first bad row
+    if row < n:
+        earlier = line[seen[row]] if row < len(seen) and seen[row] != row else None
+        _reject_row({name: cells(name)[row] for name in COLUMNS}, line[row], earlier)
+    return PanelRows(region, year, sector, numbers, line, labels, codes)
 
 
 def _parsed(parse, cells: Iterable[str]) -> list:
@@ -155,20 +159,24 @@ def _parsed(parse, cells: Iterable[str]) -> list:
     return values
 
 
-def _numbers(cells: Sequence[str], positive: bool) -> tuple[np.ndarray, int]:
-    """A numeric column as floats, NaN where a cell is blank, and the index
-    of its first cell that is not a finite (if ``positive``, positive)
-    number, or ``len(cells)``."""
-    values = np.full(len(cells), math.nan)
-    if cells.count("") == len(cells):  # an empty column, or one the header lacks
-        return values, len(cells)
-    filled = list(map(bool, map(str.strip, cells)))
-    parsed = _parsed(float, compress(cells, filled))
-    values[np.flatnonzero(filled)[: len(parsed)]] = parsed
-    failing = np.array(filled, dtype=bool) & ~np.isfinite(values)
-    if positive:
-        failing |= values <= 0.0
-    return values, int(failing.argmax()) if failing.any() else len(cells)
+def _numbers(columns: list[list[str]]) -> tuple[np.ndarray, list[int]]:
+    """The cells of ``NUMERIC_COLUMNS`` as a float array, NaN where a cell
+    is blank, and the index of each column's first cell that is not a
+    finite (in ``POSITIVE_COLUMNS``, positive) number, or its length."""
+    n = len(columns[0])
+    used = [i for i, column in enumerate(columns) if column.count("") < n]  # not all empty
+    cells = list(map(str.strip, chain.from_iterable(columns[i] for i in used)))
+    filled = np.zeros((len(columns), n), dtype=bool)
+    filled[used] = np.fromiter(map(bool, cells), bool, len(cells)).reshape(len(used), n)
+    rest, count = compress(cells, cells), np.count_nonzero(filled)  # one float map over these
+    parsed = _parsed(float, rest)
+    while len(parsed) < count:  # a cell float() rejects reads NaN
+        parsed += [math.nan, *_parsed(float, rest)]
+    values = np.full((len(columns), n), math.nan)
+    values[filled] = parsed
+    positive = np.array([[name in POSITIVE_COLUMNS] for name in NUMERIC_COLUMNS])
+    failing = filled & ~(np.isfinite(values) & ((values > 0.0) | ~positive))
+    return values, [int(row.argmax()) if row.any() else n for row in failing]
 
 
 def _reject_row(cells: Mapping[str, str], line: int, first_seen: int | None) -> None:
@@ -201,11 +209,6 @@ def _reject_row(cells: Mapping[str, str], line: int, first_seen: int | None) -> 
             raise PanelDataError(f"line {line}: {name} must be positive, got {value}")
 
 
-def _window(start: int | None, end: int | None) -> tuple[float, float]:
-    """Inclusive year bounds, infinite where a side is open."""
-    return (-math.inf if start is None else start, math.inf if end is None else end)
-
-
 def panel_from_rows(
     rows: PanelRows,
     sector: str,
@@ -215,21 +218,21 @@ def panel_from_rows(
     """Build a PanelDataset from parsed rows, restricted to one sector
     and an inclusive year window. NATIONAL rows are excluded (they only
     feed location-quotient totals)."""
-    lo, hi = _window(start, end)
-    keep = [
-        row_sector == sector and region != NATIONAL_REGION and lo <= year <= hi
-        for region, year, row_sector in zip(rows.region, rows.year, rows.sector)
-    ]
-    if not any(keep):
+    (regions, periods, sectors), (region, year, row_sector) = rows.labels, rows.codes
+    in_window = [(start is None or start <= p) and (end is None or p <= end) for p in periods]
+    keep = np.array(in_window, dtype=bool)[year] & (row_sector == CellGrid.codes(sectors, [sector]))
+    keep &= region != CellGrid.codes(regions, [NATIONAL_REGION])
+    if not keep.any():
         raise PanelDataError(
             f"empty selection: no rows for sector {sector!r}"
             + (f" in {start}-{end}" if start is not None or end is not None else "")
         )
-    region, year = list(compress(rows.region, keep)), list(compress(rows.year, keep))
-    regions, periods = tuple(sorted(set(region))), tuple(sorted(set(year)))
-    numbers = rows.numbers[:, np.fromiter(keep, bool, len(keep))]
+    (used, i), (years, j) = (np.unique(code[keep], return_inverse=True) for code in (region, year))
+    regions = tuple(map(regions.__getitem__, used.tolist()))
+    periods = tuple(map(periods.__getitem__, years.tolist()))
+    numbers = rows.numbers[:, keep]
     grids = np.full((len(NUMERIC_COLUMNS), len(regions), len(periods)), math.nan)
-    grids[:, CellGrid.codes(regions, region), CellGrid.codes(periods, year)] = numbers
+    grids[:, i, j] = numbers
     values, *views = (CellGrid(regions, periods, grid) for grid in grids)
     filled = (~np.isnan(numbers[1:])).any(axis=1).tolist()
     structural = dict(compress(zip(NUMERIC_COLUMNS[1:], views), filled))
@@ -343,25 +346,21 @@ def location_quotients_from_rows(
     otherwise from summing the regions.
     """
     panel = panel_from_rows(rows, sector, start, end)
-    shape = (len(panel.regions), len(panel.periods))
+    (regions, periods, sectors), codes = rows.labels, rows.codes
+    shape = (len(panel.regions) + 1, len(panel.periods))  # NATIONAL rows sum into the last row
     employment = rows.numbers[NUMERIC_COLUMNS.index("employment")]
-    # a year on the panel's axis lies in the window
-    year = CellGrid.codes(panel.periods, rows.year)
-    counted = (year >= 0) & ~np.isnan(employment)
-    region = CellGrid.codes(panel.regions, rows.region)
-    regional = counted & (region >= 0)
-    cell = region[regional] * shape[1] + year[regional]
-    sums = np.bincount(cell, employment[regional], shape[0] * shape[1])
-    seen = np.bincount(cell, minlength=shape[0] * shape[1])
-    totals = CellGrid(panel.regions, panel.periods, np.where(seen > 0, sums, np.nan).reshape(shape))
-    national_total: dict[int, float] = {}
-    national_sector: dict[int, float] = {}
-    national = counted & (CellGrid.codes((NATIONAL_REGION,), rows.region) == 0)
-    for i in np.flatnonzero(national).tolist():
-        count = employment.item(i)
-        national_total[rows.year[i]] = national_total.get(rows.year[i], 0.0) + count
-        if rows.sector[i] == sector:
-            national_sector[rows.year[i]] = count
+    # each row's place on those axes, -1 off them; a year on the axis lies in the window
+    region = CellGrid.codes(panel.regions + (NATIONAL_REGION,), regions)[codes[0]]
+    year = CellGrid.codes(panel.periods, periods)[codes[1]]
+    counted = (region >= 0) & (year >= 0) & ~np.isnan(employment)
+    cell = region[counted] * shape[1] + year[counted]
+    sums = np.bincount(cell, employment[counted], shape[0] * shape[1]).reshape(shape)
+    seen = np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape) > 0
+    totals = CellGrid(panel.regions, panel.periods, np.where(seen, sums, np.nan)[:-1])
+    national_total = dict(compress(zip(panel.periods, sums[-1].tolist()), seen[-1]))
+    own = counted & (region == shape[0] - 1) & (codes[2] == CellGrid.codes(sectors, [sector]))
+    years = [panel.periods[j] for j in year[own].tolist()]  # one a year: keys are unique
+    national_sector = dict(zip(years, employment[own].tolist()))
     return derive_location_quotients(panel, totals, national_sector, national_total)
 
 

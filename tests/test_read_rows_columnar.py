@@ -7,10 +7,13 @@ lines, quoted multi-line cells, short and long rows, padded cells,
 repeated header names, a byte-order mark, missing columns and several
 bad cells at once) both must give the same rows, the same panel for
 every sector and window, the same location quotients, and the same
-error message with the same line number.
+error message with the same line number. One more case does the same at
+the scale of a 300-region panel, and one checks that reading a file
+keeps no garbage-collected object per row.
 """
 
 import csv
+import gc
 import io
 import json
 import math
@@ -381,6 +384,98 @@ def test_columnar_reader_matches_the_row_reader(tmp_path):
                 compared["lq"] += not isinstance(lq, str)
     # the generator reaches every branch it is meant to
     assert min(compared.values()) > 100, compared
+
+
+def wide_rows(seed):
+    """300 regions x 30 years x 2 sectors, about 3% of the cells missing and
+    2% of the present ones without productivity, with NATIONAL employment
+    rows for every year and sector, in shuffled order."""
+    rng = random.Random(seed)
+    rows = []
+    for region in range(300):
+        for year in range(1960, 1990):
+            for sector in ("m", "s"):
+                if rng.random() < 0.03:
+                    continue
+                value = "" if rng.random() < 0.02 else repr(rng.uniform(1, 100))
+                count = repr(rng.uniform(10, 1e4))
+                rows.append([f"W{region:03d}", str(year), sector, value, count])
+    rows += [[NATIONAL_REGION, str(year), sector, "", repr(rng.uniform(1e7, 1e8))]
+             for year in range(1960, 1990) for sector in ("m", "s")]
+    rng.shuffle(rows)
+    return rows
+
+
+def wide_text(rows):
+    lines = ["region,year,sector,output_per_worker,employment"] + [",".join(row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_wide_panel_matches_the_row_reader():
+    rows = wide_rows(14)
+    text = wide_text(rows)
+    new, old = read_rows(io.StringIO(text)), oracle_read_rows(io.StringIO(text))
+    assert_same_rows(new, old)
+    for sector in ("m", "s", "u"):
+        for start, end in WINDOWS[:1] + [(1970, 1979), (1985, None)]:
+            panel = outcome(panel_from_rows, new, sector, start, end)
+            assert panel == outcome(oracle_panel, old, sector, start, end)
+            lq = outcome(location_quotients_from_rows, new, sector, start, end)
+            assert lq == outcome(oracle_lq, old, sector, start, end)
+            assert isinstance(lq, str) == (sector == "u")
+
+    duplicate = rows[:12_000] + [rows[100][:3] + ["5.0", "7.0"]] + rows[12_000:]
+    bad = [row[:] for row in duplicate]
+    bad[7_998][3] = "-1"
+    for case in (duplicate, bad):
+        text = wide_text(case)
+        error = outcome(read_rows, io.StringIO(text))
+        assert error == outcome(oracle_read_rows, io.StringIO(text))
+        line = 8_000 if case is bad else 12_002
+        assert error.startswith(f"error: line {line}: "), error
+    assert "first seen on line 102" in outcome(read_rows, io.StringIO(wide_text(duplicate)))
+
+
+class CountingLines:
+    """The lines of a text; on running out, it counts the objects the
+    garbage collector tracks."""
+
+    def __init__(self, text):
+        self.lines, self.tracked = iter(text.splitlines(keepends=True)), None
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        line = next(self.lines, None)
+        if line is None:
+            self.tracked = len(gc.get_objects())
+            raise StopIteration
+        return line
+
+
+def test_no_collected_object_per_row():
+    # Objects the collector tracks, alive at once, drive its collections:
+    # reading a file and selecting a panel must hold none per row, neither
+    # when the text runs out nor once the panel is built.
+    def tracked(regions):
+        lines = ["region,year,sector,output_per_worker,employment"]
+        lines += [f"r{region:04d},{year},s,{1.5 + region},{20.0 + year}"
+                  for region in range(regions) for year in range(2000, 2020)]
+        source = CountingLines("\n".join(lines) + "\n")
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            panel = panel_from_rows(read_rows(source), "s")
+            return source.tracked - before, len(gc.get_objects()) - before, panel.regions[-1]
+        finally:
+            gc.enable()
+
+    tracked(100)  # caches filled on a first call
+    small, large = tracked(100), tracked(1000)  # 2,000 and 20,000 rows
+    assert small[:2] == large[:2]
+    assert (small[2], large[2]) == ("r0099", "r0999")
 
 
 def test_rows_read_back_as_panel_rows():
