@@ -14,7 +14,9 @@ correction.
 
 Every fitter also takes a block sample (Monte Carlo replications
 stacked on a member axis) and then returns the block's fits, arrays
-with that axis, through the one solver that fits a single sample.
+with that axis, through the one solver that fits a single sample. A
+block fails as a whole: its first member to fail a check raises that
+member's error.
 """
 
 from __future__ import annotations
@@ -122,12 +124,6 @@ def _result(sample: GrowthSample, fits: _BlockFit) -> FitResult | _BlockFit:
     return fits if sample.batched else fits.member(0, sample.rows.code, sample.rows.year)
 
 
-def _errors(sample: GrowthSample) -> list | None:
-    """A fresh error list for a block (see ``regression._fail``); None for
-    a single sample, whose fit raises at its first failed check."""
-    return [None] * sample.members if sample.batched else None
-
-
 def fit_pooled(sample: GrowthSample, spec: ModelSpec) -> FitResult | _BlockFit:
     """Pooled OLS: common intercept plus the slope block.
 
@@ -139,15 +135,15 @@ def fit_pooled(sample: GrowthSample, spec: ModelSpec) -> FitResult | _BlockFit:
     slopes = sample.slopes
     X = np.concatenate([np.ones(slopes.shape[:-1] + (1,)), slopes], axis=-1)
     labels = ("Const.",) + spec.slope_labels
-    return _result(sample, _solve(X, sample.y, labels, "pooled", _errors(sample)))
+    return _result(sample, _solve(X, sample.y, labels, "pooled"))
 
 
 def _within_fit(sample: GrowthSample, spec: ModelSpec) -> _BlockFit:
     """The slope block fitted on region-demeaned data (Frisch-Waugh-Lovell).
 
-    Its slopes and residuals are those of LSDV; its df and standard
-    errors ignore the R absorbed region means. Computed once per sample
-    and kept in ``sample.fits`` for LSDV and GLS.
+    Its slopes and residuals are those of LSDV; its df and standard errors
+    ignore the R absorbed region means. Computed once per sample and kept
+    in ``sample.fits`` for LSDV and GLS.
     """
     if "within" in sample.fits:
         return sample.fits["within"]
@@ -158,25 +154,19 @@ def _within_fit(sample: GrowthSample, spec: ModelSpec) -> _BlockFit:
     n, r, k = sample.row_count, counts.size, slopes.shape[-1]
     if n <= r + k:
         raise EstimationError(f"need more rows than columns, got n={n}, k={r + k}")
-    errors = _errors(sample)
     norms = np.sqrt(np.einsum("...ij,...ij->...j", slopes, slopes)).reshape(-1, k)
-    _check_norms(norms, spec.slope_labels, errors)
+    _check_norms(norms, spec.slope_labels)
     y_within, slopes_within = sample.demeaned()
     # a regressor constant within every region demeans to rounding noise,
     # which only its norm before demeaning can tell from variation
     squares = np.einsum("...ij,...ij->...j", slopes_within, slopes_within).reshape(-1, k)
     absorbed = np.sqrt(squares) <= RANK_TOLERANCE * norms
-    _fail(errors, absorbed.any(axis=1), lambda b: RankDeficientError(
+    _fail(absorbed.any(axis=1), lambda b: RankDeficientError(
         spec.slope_labels[int(np.argmax(absorbed[b]))]
     ))
-    fit = _solve(slopes_within, y_within, spec.slope_labels, "lsdv", errors)
+    fit = _solve(slopes_within, y_within, spec.slope_labels, "lsdv")
     sample.fits["within"] = fit
     return fit
-
-
-def _copy(errors: list | None) -> list | None:
-    """A fit's error list to go on from, leaving the fit's own as it is."""
-    return None if errors is None else list(errors)
 
 
 def fit_lsdv(sample: GrowthSample, spec: ModelSpec) -> FitResult | _BlockFit:
@@ -204,33 +194,28 @@ def fit_lsdv(sample: GrowthSample, spec: ModelSpec) -> FitResult | _BlockFit:
     std_errors = np.concatenate([se_alpha, np.sqrt(cov_b.diagonal(0, 1, 2))], axis=1)
 
     single = [region for region, count in zip(sample.regions, counts.tolist()) if count == 1]
-    if within.errors is None or not all(within.errors):
-        for region in single:
-            warnings.warn(
-                f"region {region!r} contributes a single row; its dummy absorbs it",
-                stacklevel=2,
-            )
+    for region in single:
+        warnings.warn(f"region {region!r} contributes a single row; its dummy absorbs it", stacklevel=2)
     labels = tuple(f"D{i + 1}" for i in range(counts.size)) + within.labels
     flags = tuple((f"single_row_region:{region}", np.ones(sample.members, dtype=bool)) for region in single)
     return _result(sample, _BlockFit(
         "lsdv", labels, coefficients, std_errors, within.residuals, within.sse, df,
-        sample.y.reshape(-1, sample.row_count), None, _copy(within.errors), flags,
+        sample.y.reshape(-1, sample.row_count), None, flags,
     ))
 
 
 def _variance_components(sample: GrowthSample, spec: ModelSpec) -> tuple:
     """sigma2_e, sigma2_u, theta (members x regions), truncated and
-    between_df of each member of ``sample``, then its error list; see
+    between_df of each member of ``sample``; see
     :func:`estimate_variance_components` for the formulas."""
     _check_sample(sample, spec)
     within = _within_fit(sample, spec)
-    errors = _copy(within.errors)
     counts = sample.region_counts
     r = counts.size
     sigma2_e = within.sse / (within.df_residual - r)
     y = sample.y.reshape(-1, sample.row_count)
     degenerate = sigma2_e <= 1e-24 * (1.0 + np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0] / y.shape[1])
-    _fail(errors, degenerate, lambda b: EstimationError(
+    _fail(degenerate, lambda b: EstimationError(
         "degenerate panel: within fit is (numerically) exact, idiosyncratic variance is zero"
     ))
 
@@ -241,7 +226,7 @@ def _variance_components(sample: GrowthSample, spec: ModelSpec) -> tuple:
             f"between regression infeasible: {r} regions for {k_between} parameters"
         )
     Xb = np.concatenate([np.ones(means_y.shape + (1,)), means_x], axis=-1)
-    rank, sse = _rank_fit(Xb, means_y, ("Const.",) + spec.slope_labels, errors)
+    rank, sse = _rank_fit(Xb, means_y, ("Const.",) + spec.slope_labels)
     between_df = r - rank
     # an exact between fit (no df, and no residual) says nothing about the
     # region-effect variance, so the GLS transform degenerates to pooled OLS
@@ -254,10 +239,10 @@ def _variance_components(sample: GrowthSample, spec: ModelSpec) -> tuple:
     # what VarianceComponents checks: sigma2_u >= 0 and theta >= 0 follow
     # from sigma2_e > 0, and a NaN fails both tests here
     valid = (sigma2_e > 0.0) & np.logical_and.reduce(theta < 1.0, axis=1)
-    _fail(errors, ~valid, lambda b: _invalid_components(
+    _fail(~valid, lambda b: _invalid_components(
         sigma2_e[b].item(), sigma2_u[b].item(), dict(zip(sample.regions, theta[b].tolist()))
     ))
-    return (sigma2_e, sigma2_u, theta, truncated, between_df), errors
+    return sigma2_e, sigma2_u, theta, truncated, between_df
 
 
 def estimate_variance_components(sample: GrowthSample, spec: ModelSpec) -> VarianceComponents:
@@ -273,7 +258,7 @@ def estimate_variance_components(sample: GrowthSample, spec: ModelSpec) -> Varia
     """
     if sample.batched:
         raise EstimationError("variance components are reported for a single sample, not a block")
-    (sigma2_e, sigma2_u, theta, truncated, between_df), _ = _variance_components(sample, spec)
+    sigma2_e, sigma2_u, theta, truncated, between_df = _variance_components(sample, spec)
     return VarianceComponents(
         sigma2_e[0].item(), sigma2_u[0].item(), dict(zip(sample.regions, theta[0].tolist())),
         bool(truncated[0]), int(between_df[0]),
@@ -303,12 +288,11 @@ def fit_gls_random_effects(
         raise EstimationError("random effects need at least 2 regions with rows")
 
     if theta_override is None:
-        (_, _, theta, truncated, between_df), errors = _variance_components(sample, spec)
+        _, _, theta, truncated, between_df = _variance_components(sample, spec)
         flags = (("sigma2_u_truncated", truncated), ("between_zero_df", between_df == 0))
     else:
         if not 0.0 <= theta_override <= 1.0:
             raise EstimationError(f"theta override outside [0, 1]: {theta_override!r}")
-        errors = _errors(sample)
         theta = np.full((sample.members, len(sample.regions)), float(theta_override))
         flags = (("theta_override", np.ones(sample.members, dtype=bool)),)
 
@@ -321,7 +305,7 @@ def fit_gls_random_effects(
     else:
         X = np.concatenate([intercept_star[..., None], slopes_star], axis=-1)
         labels = ("Const.",) + spec.slope_labels
-    return _result(sample, _solve(X, y_star, labels, "gls", errors, flags))
+    return _result(sample, _solve(X, y_star, labels, "gls", flags))
 
 
 def fit_method(method: str, sample: GrowthSample, spec: ModelSpec) -> FitResult | _BlockFit:

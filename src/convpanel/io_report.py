@@ -57,21 +57,17 @@ FORMATS = ("md", "tsv", "json")
 
 @dataclass(frozen=True, eq=False)
 class PanelRows:
-    """Validated CSV rows stored as columns, in file order: one entry per
-    row in ``region``, ``year``, ``sector`` and ``line``, one row per
+    """Validated CSV rows stored as columns, in file order: one row per
     column of ``NUMERIC_COLUMNS`` in ``numbers`` (NaN for an empty cell),
-    and one row per key column in ``codes``: indices into its sorted ``labels``."""
+    and one row per key column (region, year, sector) in ``codes``:
+    indices into its sorted ``labels``."""
 
-    region: list[str]
-    year: list[int]
-    sector: list[str]
     numbers: np.ndarray
-    line: list[int]
     labels: tuple[tuple[str, ...], tuple[int, ...], tuple[str, ...]]
     codes: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.line)
+        return self.codes.shape[1]
 
 
 def read_rows(source: str | Path | TextIO) -> PanelRows:
@@ -131,8 +127,8 @@ def _columns(header: list[str], fields: list[str], lines: list[int]) -> PanelRow
     def cells(name: str) -> list[str]:
         return fields[index[name] :: len(header)] if name in index else [""] * n
 
-    region, sector = (list(map(str.strip, cells(name))) for name in ("region", "sector"))
-    year = _parsed(int, map(str.strip, cells("year")))
+    region, sector, years = (list(map(str.strip, cells(name))) for name in ("region", "sector", "year"))
+    year = _parsed(int, _csv_cells(years))
     numbers, failing = _numbers([cells(name) for name in NUMERIC_COLUMNS])
     first = min(len(year), *failing, *(col.index("") for col in (region, sector) if "" in col))
     keyed = [column[: len(year)] for column in (region, year, sector)]  # up to a bad year
@@ -148,7 +144,7 @@ def _columns(header: list[str], fields: list[str], lines: list[int]) -> PanelRow
     if row < n:
         earlier = line[seen[row]] if row < len(seen) and seen[row] != row else None
         _reject_row({name: cells(name)[row] for name in COLUMNS}, line[row], earlier)
-    return PanelRows(region, year, sector, numbers, line, labels, codes)
+    return PanelRows(numbers, labels, codes)
 
 
 def _parsed(parse, cells: Iterable[str]) -> list:
@@ -159,13 +155,25 @@ def _parsed(parse, cells: Iterable[str]) -> list:
     return values
 
 
+def _csv_cells(cells: list[str]) -> list[str]:
+    """``cells`` with each one that holds a character other than ASCII, or
+    an underscore, replaced by "_", which ``int`` and ``float`` reject:
+    they also read Python literals such as ``2_001`` or full-width digits,
+    which CSV numbers do not use. A clean column costs one check of its
+    joined text."""
+    text = "".join(cells)
+    if text.isascii() and "_" not in text:
+        return cells
+    return ["_" if not cell.isascii() or "_" in cell else cell for cell in cells]
+
+
 def _numbers(columns: list[list[str]]) -> tuple[np.ndarray, list[int]]:
     """The cells of ``NUMERIC_COLUMNS`` as a float array, NaN where a cell
     is blank, and the index of each column's first cell that is not a
     finite (in ``POSITIVE_COLUMNS``, positive) number, or its length."""
     n = len(columns[0])
     used = [i for i, column in enumerate(columns) if column.count("") < n]  # not all empty
-    cells = list(map(str.strip, chain.from_iterable(columns[i] for i in used)))
+    cells = _csv_cells(list(map(str.strip, chain.from_iterable(columns[i] for i in used))))
     filled = np.zeros((len(columns), n), dtype=bool)
     filled[used] = np.fromiter(map(bool, cells), bool, len(cells)).reshape(len(used), n)
     rest, count = compress(cells, cells), np.count_nonzero(filled)  # one float map over these
@@ -187,7 +195,7 @@ def _reject_row(cells: Mapping[str, str], line: int, first_seen: int | None) -> 
     if not region or not sector:
         raise PanelDataError(f"line {line}: region and sector must be nonempty")
     try:
-        year = int(raw_year)
+        year = int(_csv_cells([raw_year])[0])
     except ValueError:
         raise PanelDataError(f"line {line}: cannot parse year {raw_year!r}") from None
     if first_seen is not None:
@@ -200,7 +208,7 @@ def _reject_row(cells: Mapping[str, str], line: int, first_seen: int | None) -> 
         if not raw.strip():
             continue
         try:
-            value = float(raw)
+            value = float(_csv_cells([raw.strip()])[0])
         except ValueError:
             raise PanelDataError(f"line {line}: cannot parse {name} value {raw!r}") from None
         if not math.isfinite(value):
@@ -223,10 +231,12 @@ def panel_from_rows(
     keep = np.array(in_window, dtype=bool)[year] & (row_sector == CellGrid.codes(sectors, [sector]))
     keep &= region != CellGrid.codes(regions, [NATIONAL_REGION])
     if not keep.any():
-        raise PanelDataError(
-            f"empty selection: no rows for sector {sector!r}"
-            + (f" in {start}-{end}" if start is not None or end is not None else "")
-        )
+        where = ""
+        if start is not None:
+            where = f" in {start}-{end}" if end is not None else f" from {start}"
+        elif end is not None:
+            where = f" up to {end}"
+        raise PanelDataError(f"empty selection: no rows for sector {sector!r}{where}")
     (used, i), (years, j) = (np.unique(code[keep], return_inverse=True) for code in (region, year))
     regions = tuple(map(regions.__getitem__, used.tolist()))
     periods = tuple(map(periods.__getitem__, years.tolist()))

@@ -16,14 +16,16 @@ measures bias, spread and confidence coverage of each estimator on
 panels whose true convergence rate is known. Replications run in
 blocks: each replication draws from its own generator, and the block's
 stacked log levels become one block sample through the one builder,
-``panel.growth_sample_from_logs``, fitted once per method.
+``panel.growth_sample_from_logs``, fitted once per method. A block fails
+as a whole; it is then rerun one replication at a time, so the failure
+reported is the first failing replication's own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -176,11 +178,12 @@ def _log_levels(config: SimulationConfig, seeds) -> np.ndarray:
 
 
 def _checked_levels(log_p: np.ndarray, regions: tuple[str, ...]) -> np.ndarray:
-    """exp(log_p), every level positive and finite.
+    """exp(log_p), every level positive and finite, for one regions x
+    periods grid or a block of them.
 
     A level that is not fails as the panel's own check would: the first
     NaN if there is one, else the first infinite or zero level, in
-    region-then-year order.
+    (member-,) region-then-year order.
     """
     with np.errstate(over="ignore"):  # an overflow is reported as the infinite cell it makes
         levels = np.exp(log_p)
@@ -189,27 +192,34 @@ def _checked_levels(log_p: np.ndarray, regions: tuple[str, ...]) -> np.ndarray:
     bad = np.isnan(levels)
     if not bad.any():
         bad = (levels <= 0.0) | (levels == np.inf)
-    i, j = np.argwhere(bad)[0].tolist()
+    cell = tuple(np.argwhere(bad)[0].tolist())
+    i, j = cell[-2:]
     raise PanelDataError(
         "output per worker must be positive and finite, "
-        f"got {levels[i, j].item()!r} at {(regions[i], j + 1)}"
+        f"got {levels[cell].item()!r} at {(regions[i], j + 1)}"
     )
 
 
-def _raise_first_failure(stages: list, first: int, methods: tuple[str, ...]) -> None:
-    """Raise a block's first failure in replication order, and within a
-    replication in stage order: ``stages[0]`` holds each member's level
-    check error, ``stages[1 + i]`` its error fitting ``methods[i]``, None
-    where it passed. ``first`` is the block's first replication."""
-    for b, errors in enumerate(zip(*stages)):
-        for step, error in enumerate(errors):
-            if error is None:
-                continue
-            if step == 0:
-                raise error
-            raise EstimationError(
-                f"replication {first + b} failed for {methods[step - 1]}: {error}"
-            ) from error
+def _replay(
+    config: SimulationConfig, seeds, first: int, methods: tuple[str, ...], error: Exception
+) -> NoReturn:
+    """Rerun a block of replications that failed with ``error``, one at a
+    time from replication ``first`` on, and raise the first failure: a
+    level check error as it is, a fit's error with its replication and
+    method. A block whose replications all pass alone fails as a block."""
+    regions = _region_names(config.regions)
+    periods = tuple(range(1, config.periods + 1))
+    for i, seed in enumerate(seeds.tolist(), first):
+        log_p = _log_levels(config, seed)
+        _checked_levels(log_p, regions)
+        sample = growth_sample_from_logs(log_p, regions, periods, "simulated")
+        for method in methods:
+            try:
+                _fit(method, sample, ModelSpec(method=method))
+            except Exception as failure:
+                raise EstimationError(f"replication {i} failed for {method}: {failure}") from failure
+    last = first + len(seeds) - 1
+    raise EstimationError(f"replications {first}-{last} failed as a block: {error}") from error
 
 
 def recovery_experiment(
@@ -230,9 +240,11 @@ def recovery_experiment(
     ------
     EstimationError
         If any replication's fit fails; the message carries the
-        replication index. The first failure in replication order is
-        reported, and within a replication its level check comes before
-        its fits, which come in ``methods`` order.
+        replication index. A block that fails is rerun one replication at
+        a time, and the first failure in replication order is reported:
+        within a replication its level check comes before its fits, which
+        come in ``methods`` order. A block whose replications all pass
+        alone is reported by its replication range.
     """
     if replications < 1:
         raise EstimationError("at least one replication required")
@@ -251,31 +263,16 @@ def recovery_experiment(
     covered = dict.fromkeys(methods, 0)
     size = max(1, _BLOCK_CELLS // (config.regions * config.periods))
     for first in range(0, replications, size):
-        log_p = _log_levels(config, child_seeds[first : first + size])
-        # each member's first failure, stage by stage: its level check, then each method
-        stages = [[None] * len(log_p)]
-        with np.errstate(over="ignore"):
-            levels = np.exp(log_p)
-        bad = ~(np.isfinite(levels).all(axis=(1, 2)) & levels.all(axis=(1, 2)))
-        for b in np.flatnonzero(bad).tolist():
-            try:
-                _checked_levels(log_p[b], regions)
-            except PanelDataError as error:
-                stages[0][b] = error
-            log_p[b] = 0.0  # the member's fits go unread; finite levels keep its cells present
-        sample = growth_sample_from_logs(log_p, regions, periods, "simulated")
-        block = {}
-        # a failed member's arithmetic runs on (and may overflow) but is never read
+        seeds = child_seeds[first : first + size]
+        log_p = _log_levels(config, seeds)
+        # a failing replication raises its error, not numpy's warnings
         with np.errstate(all="ignore"):
-            for method in methods:
-                try:
-                    block[method] = _fit(method, sample, specs[method])
-                except Exception as error:  # a failure every member shares
-                    stages.append([error] * len(log_p))
-                else:
-                    stages.append(block[method].errors)
-        if any(map(any, stages)):
-            _raise_first_failure(stages, first, methods)
+            try:
+                _checked_levels(log_p, regions)
+                sample = growth_sample_from_logs(log_p, regions, periods, "simulated")
+                block = {method: _fit(method, sample, specs[method]) for method in methods}
+            except Exception as error:
+                _replay(config, seeds, first, methods, error)
         for method, fits in block.items():
             column = fits.labels.index("Coef.1")
             b_hat = fits.coefficients[:, column]

@@ -130,13 +130,9 @@ def least_squares(design: DesignMatrix, y: Sequence[float], method: str = "poole
 @dataclass(frozen=True)
 class _BlockFit:
     """Least-squares fits of a block of members that share one design
-    shape: every array leads with the member axis.
-
-    ``errors`` is None when the fit raised at its first failed check (a
-    single sample); for a block it holds each member's first failure, or
-    None, and the arrays of a failed member hold whatever its arithmetic
-    gave. ``flags`` pairs each flag with the members it applies to, and
-    ``response`` is what R-squared is centered on.
+    shape: every array leads with the member axis. ``flags`` pairs each
+    flag with the members it applies to, and ``response`` is what
+    R-squared is centered on.
     """
 
     method: str
@@ -148,14 +144,11 @@ class _BlockFit:
     df_residual: int
     response: np.ndarray
     xtx_inv: np.ndarray | None
-    errors: list | None
     flags: tuple[tuple[str, np.ndarray], ...] = ()
 
     def member(self, b: int, regions, years) -> FitResult:
         """Member ``b`` as a FitResult, its grouped Durbin-Watson taken
-        over ``regions`` and ``years``; a failed member raises its error."""
-        if self.errors is not None and self.errors[b] is not None:
-            raise self.errors[b]
+        over ``regions`` and ``years``."""
         residuals = self.residuals[b]
         sse = float(self.sse[b])
         tss, r2 = r_squared(sse, self.response[b])
@@ -180,28 +173,19 @@ class _BlockFit:
         )
 
 
-def _fail(errors: list | None, failed: np.ndarray, make) -> None:
-    """Give each member flagged in ``failed`` the error ``make(member)``.
-
-    With no error list (a single sample) the error is raised at once, as
-    member 0's; in a block a member keeps the first error it was given,
-    so the checks decide in the order they run.
-    """
-    if errors is None:
-        if failed[0]:
-            raise make(0)
-        return
-    for b in np.flatnonzero(failed).tolist():
-        if errors[b] is None:
-            errors[b] = make(b)
+def _fail(failed: np.ndarray, make) -> None:
+    """Raise ``make(member)`` for the first member flagged in ``failed``:
+    a block fails a check as a whole, as a single sample does."""
+    if failed.any():
+        raise make(int(np.argmax(failed)))
 
 
-def _check_norms(norms: np.ndarray, labels: Sequence[str], errors: list | None) -> None:
-    """Fail each member (a row of ``norms``) with an infinite column norm,
+def _check_norms(norms: np.ndarray, labels: Sequence[str]) -> None:
+    """Fail a member (a row of ``norms``) with an infinite column norm,
     naming its first such column: numpy sums of squares overflow without
     a warning, and a fit on such a column would print NaN estimates."""
     infinite = norms == math.inf
-    _fail(errors, infinite.any(axis=1), lambda b: EstimationError(
+    _fail(infinite.any(axis=1), lambda b: EstimationError(
         f"column {labels[int(np.argmax(infinite[b]))]!r} out of floating-point range: its norm overflows"
     ))
 
@@ -211,24 +195,21 @@ def _solve(
     y: np.ndarray,
     labels: Sequence[str],
     method: str,
-    errors: list | None = None,
     flags: tuple[tuple[str, np.ndarray], ...] = (),
 ) -> _BlockFit:
     """Fit each member's response on its design: X is n x k or B x n x k,
     y is n or B x n, and the result, which carries ``flags``, has a
-    member axis either way.
-
-    ``errors`` is the block's error list, or None to raise at the first
-    failed check; the checks run in :func:`least_squares`'s order.
+    member axis either way. The first member to fail a check, in
+    :func:`least_squares`'s order, raises its error for the block.
     """
     n, k = X.shape[-2:]
     if n <= k:
         raise EstimationError(f"need more rows than columns, got n={n}, k={k}")
     X, y = X.reshape(-1, n, k), y.reshape(-1, n)
-    work, piv = _factor(X, y, labels, errors)
+    work, piv = _factor(X, y, labels)
     R = work[:, :k, :k].transpose(0, 2, 1)  # only its upper triangle is meaningful
     kept = _kept_pivots(R)
-    _fail(errors, ~np.logical_and.reduce(kept, axis=1), lambda b: RankDeficientError(
+    _fail(~np.logical_and.reduce(kept, axis=1), lambda b: RankDeficientError(
         labels[piv[b, np.argmin(kept[b])]]
     ))
 
@@ -246,30 +227,26 @@ def _solve(
     df = n - k
     xtx_inv = np.matmul(r_inv, r_inv.transpose(0, 2, 1))
     std_errors = np.sqrt((sse / df)[:, None] * xtx_inv.diagonal(0, 1, 2))
-    return _BlockFit(method, tuple(labels), beta, std_errors, residuals, sse, df, y, xtx_inv, errors, flags)
+    return _BlockFit(method, tuple(labels), beta, std_errors, residuals, sse, df, y, xtx_inv, flags)
 
 
-def _rank_fit(
-    X: np.ndarray, y: np.ndarray, labels: Sequence[str], errors: list | None
-) -> tuple[np.ndarray, np.ndarray]:
+def _rank_fit(X: np.ndarray, y: np.ndarray, labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Each member's rank of X and the residual sum of squares of y on
     it, where a rank-deficient X is no error: the rank counts the leading
     pivots that pass the rank test of :func:`_kept_pivots`, and the
     residual is what Q'y holds past them."""
     n, k = X.shape[-2:]
-    work, _ = _factor(X.reshape(-1, n, k), y.reshape(-1, n), labels, errors)
+    work, _ = _factor(X.reshape(-1, n, k), y.reshape(-1, n), labels)
     rank = np.add.reduce(np.logical_and.accumulate(_kept_pivots(work[:, :k, :k]), axis=1), axis=1)
     tail = np.where(np.arange(n) >= rank[:, None], work[:, k], 0.0)
     return rank, np.matmul(tail[:, None, :], tail[:, :, None])[:, 0, 0]
 
 
-def _factor(
-    X: np.ndarray, y: np.ndarray, labels: Sequence[str], errors: list | None
-) -> tuple[np.ndarray, np.ndarray]:
+def _factor(X: np.ndarray, y: np.ndarray, labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """The pivoted QR factors of each member's X (B x n x k), applied to
     its y (B x n): the work array and pivot order of :func:`_pivoted_qr`."""
     work = np.concatenate([X.transpose(0, 2, 1), y[:, None, :]], axis=1)
-    return work, _pivoted_qr(work, labels, errors)
+    return work, _pivoted_qr(work, labels)
 
 
 def _kept_pivots(R: np.ndarray) -> np.ndarray:
@@ -279,7 +256,7 @@ def _kept_pivots(R: np.ndarray) -> np.ndarray:
     return diag > RANK_TOLERANCE * diag[:, :1]
 
 
-def _pivoted_qr(work: np.ndarray, labels: Sequence[str], errors: list | None) -> np.ndarray:
+def _pivoted_qr(work: np.ndarray, labels: Sequence[str]) -> np.ndarray:
     """Householder QR with column pivoting (Businger & Golub, 1965) of
     each member of a block, in place.
 
@@ -292,18 +269,17 @@ def _pivoted_qr(work: np.ndarray, labels: Sequence[str], errors: list | None) ->
     has eaten half their digits, and the reflectors follow ``dlarfg``.
     The reflectors are applied to y as they are made, so Q is never
     formed. Each step's few scalars are worked out member by member; all
-    the arithmetic on rows runs once over the block. A member whose
-    design holds a NaN or an infinity fails with an EstimationError, and
-    so does one with a column whose norm overflows, the error naming its
-    label.
+    the arithmetic on rows runs once over the block. A design that holds
+    a NaN or an infinity fails with an EstimationError, and so does one
+    with a column whose norm overflows, the error naming its label.
     """
     B, k = work.shape[0], work.shape[1] - 1
     columns = work[:, :k]
     norms = np.sqrt(np.einsum("bij,bij->bi", columns, columns))  # einsum overflows without a warning
     if not np.isfinite(norms).all():  # a NaN or an infinity, or a norm that overflows
         finite = np.isfinite(columns).all(axis=(1, 2))
-        _fail(errors, ~finite, lambda b: EstimationError("design matrix must be finite"))
-        _check_norms(norms, labels, errors)
+        _fail(~finite, lambda b: EstimationError("design matrix must be finite"))
+        _check_norms(norms, labels)
     # per member and column: the norm, the norm as last computed in full,
     # and the column's index in X, swapped together
     state = np.empty((B, k, 3))

@@ -5,7 +5,8 @@ sample and fits each method once per block, through the kernel that
 fits a single sample. Each member must get the slope, standard error
 and degrees of freedom that ``fit_method`` gives the one-member sample
 built from its replication's log levels, and a block that holds a
-failing member must report the first failure in replication order.
+failing replication must report the first failure in replication order,
+as that replication's fit on its own reports it.
 """
 
 import math
@@ -79,19 +80,6 @@ def test_block_members_match_one_member_fits(case, monkeypatch):
     assert seen == dict.fromkeys(METHODS, 20)
 
 
-def patched_levels(monkeypatch, spoil):
-    """Make ``mc._log_levels`` hand each block through ``spoil``."""
-    real_levels = mc._log_levels
-
-    def levels(config, seeds):
-        log_p = real_levels(config, seeds)
-        if np.ndim(seeds):
-            spoil(log_p)
-        return log_p
-
-    monkeypatch.setattr(mc, "_log_levels", levels)
-
-
 @pytest.mark.parametrize(
     ("bad_level", "expected", "message"),
     [
@@ -99,33 +87,27 @@ def patched_levels(monkeypatch, spoil):
         (2, PanelDataError, "output per worker must be positive and finite, got inf at ('R1', 1)"),
     ],
 )
-def test_first_failure_in_replication_order_is_reported(bad_level, expected, message, monkeypatch):
-    def spoil(log_p):
-        log_p[bad_level] = 800.0  # exp overflows: the replication fails its level check
-
-    patched_levels(monkeypatch, spoil)
-    real_fit = mc._fit
-
-    def failing_fit(method, sample, spec):
-        fits = real_fit(method, sample, spec)
-        if method == "lsdv":
-            fits.errors[3] = EstimationError("forced failure")
-        return fits
-
-    monkeypatch.setattr(mc, "_fit", failing_fit)
+def test_first_failure_in_replication_order_is_reported(bad_level, expected, message, failing_replications):
+    # exp overflows: replication bad_level fails its level check
+    failing_replications(1, 8, levels={bad_level: 800.0}, fits={3: "lsdv"})
     config = SimulationConfig(seed=1, regions=5, periods=9, b_true=-0.3)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the spoiled member's fits may not warn
+        warnings.simplefilter("error")  # the spoiled replication's fits may not warn
         with pytest.raises(expected) as error:
             recovery_experiment(config, 8)
     assert str(error.value) == message
 
 
-def test_a_failing_member_fails_as_its_one_member_fit(monkeypatch):
-    def spoil(log_p):
-        log_p[3] = 1.0  # every level equal: nothing varies
+def test_an_earlier_replication_fails_first_whatever_its_method(failing_replications):
+    failing_replications(1, 8, fits={2: "gls", 4: "pooled"})
+    config = SimulationConfig(seed=1, regions=5, periods=9, b_true=-0.3)
+    with pytest.raises(EstimationError) as error:
+        recovery_experiment(config, 8)
+    assert str(error.value) == "replication 2 failed for gls: forced failure"
 
-    patched_levels(monkeypatch, spoil)
+
+def test_a_failing_member_fails_as_its_one_member_fit(failing_replications):
+    failing_replications(1, 8, levels={3: 1.0})  # every level equal: nothing varies
     config = SimulationConfig(seed=1, regions=5, periods=9, b_true=-0.3)
     flat = growth_sample_from_logs(np.ones((5, 9)), mc._region_names(5), tuple(range(1, 10)), "simulated")
     with pytest.raises(EstimationError) as one:
@@ -135,6 +117,23 @@ def test_a_failing_member_fails_as_its_one_member_fit(monkeypatch):
         with pytest.raises(EstimationError) as block:
             recovery_experiment(config, 8)
     assert str(block.value) == f"replication 3 failed for pooled: {one.value}"
+
+
+def test_a_block_that_fails_only_as_a_block_is_named_by_its_range(monkeypatch, capsys):
+    real_fit = mc._fit
+
+    def fit(method, sample, spec):
+        if sample.batched:
+            raise EstimationError("forced failure")
+        return real_fit(method, sample, spec)
+
+    monkeypatch.setattr(mc, "_fit", fit)
+    monkeypatch.setattr(mc, "_BLOCK_CELLS", 8 * 5 * 9)  # blocks of 8 replications at 5x9
+    message = "replications 0-7 failed as a block: forced failure"
+    with pytest.raises(EstimationError, match=f"^{message}$"):
+        recovery_experiment(SimulationConfig(seed=1, regions=5, periods=9, b_true=-0.3), 20)
+    assert main(["recover", "--seed", "1", "--reps", "20"]) == 3
+    assert capsys.readouterr().err.splitlines() == [f"convpanel: estimation error: {message}"]
 
 
 def test_between_df_of_a_rank_deficient_between_design(tmp_path, capsys):

@@ -94,6 +94,40 @@ class TestReadPanel:
         with pytest.raises(PanelDataError, match="empty selection"):
             read_panel(path, "mining")
 
+    @pytest.mark.parametrize(
+        ("start", "end", "window"),
+        [(2001, 2005, " in 2001-2005"), (2001, None, " from 2001"), (None, 2005, " up to 2005")],
+    )
+    def test_empty_selection_names_the_window_as_given(self, tmp_path, start, end, window):
+        path = five_region_csv(tmp_path)
+        with pytest.raises(PanelDataError) as error:
+            read_panel(path, "mining", start, end)
+        assert str(error.value) == f"empty selection: no rows for sector 'mining'{window}"
+
+    @pytest.mark.parametrize(
+        ("cells", "message"),
+        [
+            ("2_001,1.5", "line 3: cannot parse year '2_001'"),
+            ("\uff12\uff10\uff10\uff11,1.5", "line 3: cannot parse year '\uff12\uff10\uff10\uff11'"),
+            ("2001,1_000.5", "line 3: cannot parse output_per_worker value '1_000.5'"),
+            ("2001,\uff11.5", "line 3: cannot parse output_per_worker value '\uff11.5'"),
+        ],
+    )
+    def test_python_literal_syntax_is_not_csv_data(self, tmp_path, cells, message):
+        # int() and float() read these, CSV data does not use them
+        header = "region,year,sector,output_per_worker\n"
+        body = f"a,2000,s,1.0\na,{cells.replace(',', ',s,')}\nb,2000,s,1.0\nb,2001,s,1.2\n"
+        with pytest.raises(PanelDataError) as error:
+            read_panel(write_csv(tmp_path, body, header=header), "s")
+        assert str(error.value) == message
+
+    def test_first_row_with_a_python_literal_is_reported(self, tmp_path):
+        header = "region,year,sector,output_per_worker\n"
+        body = "a,2000,s,1.0\na,\uff12\uff10\uff10\uff11,s,1.5\nb,2000,s,1_000.5\nb,2_001,s,1.2\n"
+        with pytest.raises(PanelDataError) as error:
+            read_panel(write_csv(tmp_path, body, header=header), "s")
+        assert str(error.value) == "line 3: cannot parse year '\uff12\uff10\uff10\uff11'"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(PanelDataError, match="not found"):
             read_panel(tmp_path / "absent.csv", "s")

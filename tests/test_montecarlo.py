@@ -151,18 +151,10 @@ class TestRecoveryExperiment:
         with pytest.raises(EstimationError, match="unknown method"):
             recovery_experiment(config, 10, ("pooled", "wls"))
 
-    def test_fit_failure_reports_replication_index(self, monkeypatch):
-        import convpanel.montecarlo as mc
+    def test_fit_failure_reports_replication_index(self, failing_replications):
         from convpanel.errors import EstimationError
 
-        real_fit = mc._fit
-
-        def failing_fit(method, sample, spec):
-            fits = real_fit(method, sample, spec)
-            fits.errors[3] = EstimationError("forced failure")  # member 3 of the one block
-            return fits
-
-        monkeypatch.setattr(mc, "_fit", failing_fit)
+        failing_replications(1, 10, fits={3: "pooled"})
         config = SimulationConfig(seed=1, regions=5, periods=9, b_true=-0.3)
         with pytest.raises(EstimationError, match="replication 3"):
             recovery_experiment(config, 10, ("pooled",))

@@ -59,11 +59,18 @@ class OracleRow(NamedTuple):
     line: int
 
 
+def _csv_literal(text):
+    """``text`` as CSV writes a number: ASCII, without Python's underscores."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return text
+
+
 def _parse_optional(raw, column, line):
     if raw is None or raw.strip() == "":
         return None
     try:
-        value = float(raw)
+        value = float(_csv_literal(raw.strip()))
     except ValueError:
         raise PanelDataError(f"line {line}: cannot parse {column} value {raw!r}") from None
     if not math.isfinite(value):
@@ -94,7 +101,7 @@ def oracle_read_rows(source):
             raise PanelDataError(f"line {line}: region and sector must be nonempty")
         raw_year = (record.get("year") or "").strip()
         try:
-            year = int(raw_year)
+            year = int(_csv_literal(raw_year))
         except ValueError:
             raise PanelDataError(f"line {line}: cannot parse year {raw_year!r}") from None
         key = (region, year, sector)
@@ -131,8 +138,9 @@ def oracle_read_rows(source):
 
 def assert_same_rows(new, old, text=None):
     """``read_rows``' columns hold the oracle's rows, NaN for an empty cell."""
-    labels = [[getattr(row, name) for row in old] for name in ("region", "year", "sector", "line")]
-    assert [new.region, new.year, new.sector, new.line] == labels, text
+    keys = [[getattr(row, name) for row in old] for name in ("region", "year", "sector")]
+    assert [[labels[i] for i in codes] for labels, codes in zip(new.labels, new.codes.tolist())] == keys, text
+    assert len(new) == len(old), text
     numbers = np.full((len(NUMERIC_COLUMNS), len(old)), math.nan)
     for i, name in enumerate(NUMERIC_COLUMNS):
         for j, row in enumerate(old):
@@ -154,9 +162,12 @@ def oracle_panel(rows, sector, start=None, end=None):
         and _in_window(row.year, start, end)
     ]
     if not selected:
+        window = {
+            (True, True): f" in {start}-{end}", (True, False): f" from {start}", (False, True): f" up to {end}"
+        }
         raise PanelDataError(
             f"empty selection: no rows for sector {sector!r}"
-            + (f" in {start}-{end}" if start is not None or end is not None else "")
+            + window.get((start is not None, end is not None), "")
         )
     values, structural = {}, {}
     for row in selected:
@@ -264,8 +275,8 @@ def oracle_lq(rows, sector, start=None, end=None):
 REGIONS = ["a", "b", "c", " d", "NATIONAL", "e\nf"]
 SECTORS = ["s", "t"]
 NUMERIC = ("output_per_worker",) + OPTIONAL_COLUMNS
-BAD_NUMBERS = ["x", "nan", "inf", "-inf", "1e999", "0", "-2", "1.5.1", "\x1c", " "]
-BAD_YEARS = ["20x1", "", "\x1c2001", "2001.0", "2_001", " 2001\n"]
+BAD_NUMBERS = ["x", "nan", "inf", "-inf", "1e999", "0", "-2", "1.5.1", "1_000.5", "\uff11\uff12", "\x1c", " "]
+BAD_YEARS = ["20x1", "", "\x1c2001", "2001.0", "2_001", "\uff12\uff10\uff10\uff12", " 2001\n"]
 
 
 def number(rng):
@@ -482,9 +493,8 @@ def test_rows_read_back_as_panel_rows():
     text = "region,year,sector,output_per_worker\na,2000,s,1.5\nb,2001,s,\n"
     rows = read_rows(io.StringIO(text))
     assert len(rows) == 2
-    assert [rows.region, rows.year, rows.sector, rows.line] == [
-        ["a", "b"], [2000, 2001], ["s", "s"], [2, 3]
-    ]
+    assert rows.labels == (("a", "b"), (2000, 2001), ("s",))
+    assert rows.codes.tolist() == [[0, 1], [0, 1], [0, 0]]
     empty = [math.nan, math.nan]
     np.testing.assert_array_equal(rows.numbers, [[1.5, math.nan], empty, empty, empty])
     assert_same_rows(rows, oracle_read_rows(io.StringIO(text)))
