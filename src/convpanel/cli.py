@@ -234,6 +234,9 @@ _PARSER = build_parser()
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
+    start, end = getattr(args, "from_year", None), getattr(args, "to_year", None)
+    if start is not None and end is not None and start > end:  # before the file is read
+        _PARSER.error(f"--from {start} is after --to {end}")
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"convpanel: warning: {message}\n"
     try:

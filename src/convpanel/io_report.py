@@ -6,11 +6,13 @@ Input files are long-format CSV, one row per (region, year, sector):
         [,goods_flow_output_ratio][,employment]
 
 UTF-8 (a byte-order mark is skipped), comma delimited, decimal point;
-numeric cells must be finite. One ``csv.reader`` pass reads the whole
-file, every sector, into columns and integer region, year and sector
-codes, validated column by column; the first bad row, by line, is
-reported. A pseudo-region ``NATIONAL`` may carry national employment
-totals for location-quotient construction; it never enters estimation.
+numeric cells must be finite. One ``str.split`` of a file without quotes,
+carriage returns, blank lines or ragged rows, else one ``csv.reader`` pass,
+reads the whole file, every sector, into columns and integer region, year
+and sector codes, validated column by column; both give the same rows and
+errors, and the first bad row, by line, is reported. A pseudo-region
+``NATIONAL`` may carry national employment totals for location-quotient
+construction; it never enters estimation.
 Each renderer builds one JSON payload whose ``rows`` the md and tsv
 formats print as table rows. Reports render one row per method (Pooling,
 LSDV, GLS), estimates printed to 3 decimals (ties away from zero) with
@@ -20,7 +22,6 @@ JSON format keeps full precision.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
@@ -73,10 +74,13 @@ class PanelRows:
 def read_rows(source: str | Path | TextIO) -> PanelRows:
     """Parse and validate every row of a long-format panel CSV.
 
-    One ``csv.reader`` pass lays the rows' fields end to end in one list,
-    keeping no object per record, and each check runs over whole columns
-    of it. A file with several bad rows is reported by the first, with
-    the message of the first check it fails, in the order of ``_reject_row``.
+    A file named by path with no quote, carriage return, NUL, blank line or
+    line over ``csv.field_size_limit()``, and the header's comma count on
+    every line, is one ``str.split`` of its text; any other, and an open
+    stream, one ``csv.reader`` pass. Both lay the rows' fields end to end
+    in one list and give the same rows and errors; each check runs over
+    whole columns. A file with several bad rows is reported by the first,
+    with the message of the first check it fails, in the order of ``_reject_row``.
 
     Raises
     ------
@@ -90,10 +94,13 @@ def read_rows(source: str | Path | TextIO) -> PanelRows:
         if not path.exists():
             raise PanelDataError(f"input file not found: {path}")
         try:
-            with path.open(newline="", encoding="utf-8") as handle:
-                return read_rows(handle)
+            split = _split(path)
+            if split is None:
+                with path.open(newline="", encoding="utf-8") as handle:
+                    return read_rows(handle)
         except OSError as error:  # a directory, say, or no permission
             raise PanelDataError(f"cannot read input file {path}: {error.strerror}") from None
+        return _columns(*split)
 
     reader, header = csv.reader(source), None
     fields, lines = [], [0]  # the rows' fields end to end; the header's and rows' last lines
@@ -114,7 +121,32 @@ def read_rows(source: str | Path | TextIO) -> PanelRows:
     return _columns(header, fields, lines)
 
 
-def _columns(header: list[str], fields: list[str], lines: list[int]) -> PanelRows:
+def _split(path: Path) -> tuple[list[str], list[str], range] | None:
+    """The header, the rows' fields end to end and the lines of the header
+    and each row, when ``csv.reader`` reads the file's text as a plain split
+    on newlines and commas; else None, as for text that is not UTF-8:
+    streamed, it names the line it fails after."""
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        return None
+    if any(char in text for char in '"\r\0'):
+        return None
+    text = text.removesuffix("\n")
+    data = np.frombuffer(text.encode(), np.uint8)  # "\n" and "," are one byte each in UTF-8
+    ends = np.append(np.flatnonzero(data == ord("\n")), data.size)  # where each line ends
+    commas = np.diff(np.searchsorted(np.flatnonzero(data == ord(",")), ends), prepend=0)
+    sizes = np.diff(ends, prepend=-1) - 1  # in bytes, no fewer than the characters
+    if (commas != commas[0]).any() or not sizes.all() or sizes.max() > csv.field_size_limit():
+        return None  # a line without the header's comma count, a blank line or a long one
+    fields = text.replace("\n", ",").split(",")
+    header = fields[: commas[0] + 1]
+    del fields[: len(header)]
+    return header, fields, range(1, ends.size + 1)
+
+
+def _columns(header: list[str], fields: list[str], lines: Sequence[int]) -> PanelRows:
     """Validate CSV rows, given as their fields end to end, each as wide as
     the header, and the lines of the header and each row; store them as columns."""
     header = [header[0].removeprefix("\ufeff"), *header[1:]] if header else header
@@ -127,44 +159,58 @@ def _columns(header: list[str], fields: list[str], lines: list[int]) -> PanelRow
     def cells(name: str) -> list[str]:
         return fields[index[name] :: len(header)] if name in index else [""] * n
 
-    region, sector, years = (list(map(str.strip, cells(name))) for name in ("region", "sector", "year"))
-    year = _parsed(int, _csv_cells(years))
+    keyed = (cells("region"), _csv_cells(cells("year")), cells("sector"))
+    labels, codes = zip(*map(_coded, keyed, (str.strip, int, str.strip)))
+    codes = np.stack(codes)
     numbers, failing = _numbers([cells(name) for name in NUMERIC_COLUMNS])
-    first = min(len(year), *failing, *(col.index("") for col in (region, sector) if "" in col))
-    keyed = [column[: len(year)] for column in (region, year, sector)]  # up to a bad year
-    labels = tuple(tuple(sorted(set(column))) for column in keyed)
-    codes = np.stack([CellGrid.codes(*pair) for pair in zip(labels, keyed)])
-    # the first row with each key; numbering the cells first keeps keys below rows**2
+    # the first row with each key; numbering the cells first keeps keys below rows**2. A bad
+    # row, coded -1, may share a key, but it is reported first, and not for its key.
     cell = np.unique(codes[0] * len(labels[1]) + codes[1], return_inverse=True)[1]
     key = cell * len(labels[2]) + codes[2]
     _, head, key = np.unique(key, return_index=True, return_inverse=True)
     seen = head[key]
-    repeats = np.flatnonzero(seen != np.arange(len(seen)))
-    row = min(first, int(repeats[0])) if repeats.size else first  # the first bad row
+    bad = (codes < 0).any(axis=0) | (seen != np.arange(n))
+    row = min([*np.flatnonzero(bad)[:1].tolist(), *failing])  # the first bad row
     if row < n:
-        earlier = line[seen[row]] if row < len(seen) and seen[row] != row else None
+        earlier = line[seen[row]] if seen[row] != row else None
         _reject_row({name: cells(name)[row] for name in COLUMNS}, line[row], earlier)
     return PanelRows(numbers, labels, codes)
 
 
-def _parsed(parse, cells: Iterable[str]) -> list:
-    """``parse`` of each cell, up to the first one it rejects with ValueError."""
+def _coded(cells: list[str], parse: Callable[[str], object]) -> tuple[tuple, np.ndarray]:
+    """The sorted distinct values that ``parse`` gives ``cells``, and each
+    cell's index into them, -1 where it gives "" or rejects the cell; each
+    distinct text is parsed once."""
+    texts = set(cells)
+    values = dict(zip(texts, _parsed(parse, texts, None)))
+    labels = sorted(set(values.values()) - {None, ""})
+    index = {label: i for i, label in enumerate(labels)}
+    code = {text: index.get(value, -1) for text, value in values.items()}
+    return tuple(labels), np.fromiter(map(code.__getitem__, cells), np.intp, len(cells))
+
+
+def _parsed(parse, cells: Iterable[str], rejected) -> list:
+    """``parse`` of each cell, ``rejected`` for each one it rejects with ValueError."""
     values: list = []
-    with contextlib.suppress(ValueError):
-        values.extend(map(parse, cells))  # keeps the values parsed before the failure
-    return values
+    cells = iter(cells)
+    while True:
+        try:
+            values.extend(map(parse, cells))  # keeps the values parsed before a failure
+            return values
+        except ValueError:
+            values.append(rejected)
 
 
 def _csv_cells(cells: list[str]) -> list[str]:
-    """``cells`` with each one that holds a character other than ASCII, or
-    an underscore, replaced by "_", which ``int`` and ``float`` reject:
-    they also read Python literals such as ``2_001`` or full-width digits,
-    which CSV numbers do not use. A clean column costs one check of its
-    joined text."""
+    """``cells`` stripped, each one that then holds a character other than
+    ASCII, or an underscore, replaced by "_", which ``int`` and ``float``
+    reject: they also read Python literals such as ``2_001`` or full-width
+    digits, which CSV numbers do not use. A clean column costs one check of
+    its joined text; printable ASCII without spaces comes back as it is."""
     text = "".join(cells)
     if text.isascii() and "_" not in text:
-        return cells
-    return ["_" if not cell.isascii() or "_" in cell else cell for cell in cells]
+        return cells if text.isprintable() and " " not in text else list(map(str.strip, cells))
+    return ["_" if not cell.isascii() or "_" in cell else cell for cell in map(str.strip, cells)]
 
 
 def _numbers(columns: list[list[str]]) -> tuple[np.ndarray, list[int]]:
@@ -173,15 +219,11 @@ def _numbers(columns: list[list[str]]) -> tuple[np.ndarray, list[int]]:
     finite (in ``POSITIVE_COLUMNS``, positive) number, or its length."""
     n = len(columns[0])
     used = [i for i, column in enumerate(columns) if column.count("") < n]  # not all empty
-    cells = _csv_cells(list(map(str.strip, chain.from_iterable(columns[i] for i in used))))
+    cells = list(chain.from_iterable(_csv_cells(columns[i]) for i in used))
     filled = np.zeros((len(columns), n), dtype=bool)
     filled[used] = np.fromiter(map(bool, cells), bool, len(cells)).reshape(len(used), n)
-    rest, count = compress(cells, cells), np.count_nonzero(filled)  # one float map over these
-    parsed = _parsed(float, rest)
-    while len(parsed) < count:  # a cell float() rejects reads NaN
-        parsed += [math.nan, *_parsed(float, rest)]
     values = np.full((len(columns), n), math.nan)
-    values[filled] = parsed
+    values[filled] = _parsed(float, compress(cells, cells), math.nan)  # one float map
     positive = np.array([[name in POSITIVE_COLUMNS] for name in NUMERIC_COLUMNS])
     failing = filled & ~(np.isfinite(values) & ((values > 0.0) | ~positive))
     return values, [int(row.argmax()) if row.any() else n for row in failing]
@@ -208,7 +250,7 @@ def _reject_row(cells: Mapping[str, str], line: int, first_seen: int | None) -> 
         if not raw.strip():
             continue
         try:
-            value = float(_csv_cells([raw.strip()])[0])
+            value = float(_csv_cells([raw])[0])
         except ValueError:
             raise PanelDataError(f"line {line}: cannot parse {name} value {raw!r}") from None
         if not math.isfinite(value):

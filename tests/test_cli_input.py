@@ -1,7 +1,7 @@
 """CLI input contract: byte-order marks, non-finite cells, count flags,
 one diagnostic per single-row region under --method all, each warning
 and error on one stderr line, an overflowing simulation, location
-quotient or regressor."""
+quotient or regressor, and an inverted year window."""
 
 import io
 import os
@@ -206,3 +206,15 @@ def test_overflowing_regressor_is_one_estimation_error_line(tmp_path, capsys, me
         "convpanel: estimation error: column 'Coef.2' out of floating-point range: "
         "its norm overflows\n"
     )
+
+
+@pytest.mark.parametrize("command", ["fit", "sigma", "lq"])
+def test_inverted_window_is_a_usage_error(tmp_path, capsys, command):
+    # told before the file is read: this one does not exist
+    argv = (command, "--input", str(tmp_path / "nope.csv"), "--sector", "x")
+    code, out, err = run(capsys, *argv, "--from", "2003", "--to", "2001")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == "convpanel: error: --from 2003 is after --to 2001"
+    (tmp_path / "nope.csv").write_text(CSV, encoding="utf-8")
+    code, out, err = run(capsys, *argv, "--from", "2001", "--to", "2001")
+    assert code != 1 and "usage" not in err  # a one-year window is not inverted

@@ -1,0 +1,204 @@
+"""The one-split reader of quote-free files against the ``csv.reader`` loop.
+
+``read_rows`` reads a file named by path with one ``str.split`` when
+``csv.reader`` would read its text as a plain split. On seeded random
+quote-free texts (bad years, bad and whitespace-only numbers, blank
+names, duplicate keys, a byte-order mark, repeated header names, Python
+literals such as ``2_001`` and full-width digits) it must give what the
+``csv.reader`` loop gives for the same file as a stream, and what the
+row-by-row oracle gives: the same labels, codes and bitwise numbers, or
+the same error with the same line. Texts that the split would misread
+must fall back to the loop.
+"""
+
+import csv
+import gc
+import random
+
+import pytest
+
+from convpanel.io_report import (
+    OPTIONAL_COLUMNS,
+    REQUIRED_COLUMNS,
+    _split,
+    panel_from_rows,
+    read_rows,
+)
+from test_read_rows_columnar import BAD_NUMBERS, assert_same_rows, oracle_read_rows, outcome
+
+REGIONS = ["a", "b", " c", "NATIONAL", "d\u2028e", "\x1cf"]  # line breaks to str.splitlines only
+BAD_YEARS = ["20x1", "", "\x1c2001", "2001.0", "2_001", "\uff12\uff10\uff10\uff12", " 2001 ", "\t"]
+NUMERIC = ("output_per_worker",) + OPTIONAL_COLUMNS
+
+
+def number(rng):
+    kind = rng.random()
+    if kind < 0.05:
+        return ""
+    if kind < 0.1:
+        return rng.choice([" ", "\t", " 1.5 ", "\u30002.5", "2.5\x0b", "1e3"])
+    return repr(rng.uniform(0.5, 300.0))
+
+
+def plain_csv(rng):
+    """A random CSV text without quotes, carriage returns or blank lines,
+    every row as wide as the header."""
+    header = list(REQUIRED_COLUMNS) + [c for c in OPTIONAL_COLUMNS if rng.random() < 0.6]
+    rng.shuffle(header)
+    if rng.random() < 0.04:
+        header.remove(rng.choice(REQUIRED_COLUMNS))
+    if rng.random() < 0.15:
+        header.append(rng.choice(header))  # a repeated name: its last column counts
+    if rng.random() < 0.1:
+        header.insert(rng.randrange(len(header) + 1), "note")
+    keys = [
+        (region, year, sector)
+        for region in rng.sample(REGIONS, rng.randint(1, len(REGIONS)))
+        for year in range(2000, 2000 + rng.randint(1, 5))
+        for sector in rng.sample(["s", "t"], rng.randint(1, 2))
+        if rng.random() < 0.8
+    ]
+    rng.shuffle(keys)
+    if keys and rng.random() < 0.15:
+        keys.insert(rng.randrange(len(keys) + 1), rng.choice(keys))
+    rows = []
+    for region, year, sector in keys:
+        row = {"region": region, "year": str(year), "sector": sector, "note": "n q"}
+        if rng.random() < 0.1:
+            row["year"] = rng.choice([f" {year} ", f"0{year}"])
+        if rng.random() < 0.05:
+            row["sector"] = f" {sector}"
+        row.update((name, number(rng)) for name in NUMERIC)
+        rows.append(row)
+    for _ in range(rng.choice([0, 0, 0, 1, 2]) if rows else 0):  # bad cells
+        row, name = rng.choice(rows), rng.choice(header)
+        if name in ("region", "sector"):
+            row[name] = rng.choice(["", "  "])
+        elif name == "year":
+            row[name] = rng.choice(BAD_YEARS)
+        else:
+            row[name] = rng.choice(BAD_NUMBERS)
+    lines = [",".join(header)] + [",".join(row.get(name, "zz") for name in header) for row in rows]
+    text = "\n".join(lines) + ("\n" if rng.random() < 0.9 else "")
+    return ("\ufeff" if rng.random() < 0.1 else "") + text
+
+
+def streamed(path):
+    with path.open(newline="", encoding="utf-8") as handle:
+        return outcome(read_rows, handle)
+
+
+def assert_same_outcome(new, old):
+    assert isinstance(new, str) == isinstance(old, str), (new, old)
+    if isinstance(old, str):
+        assert new == old
+        return
+    assert new.labels == old.labels
+    assert new.codes.tolist() == old.codes.tolist()
+    assert new.numbers.tobytes() == old.numbers.tobytes()
+
+
+def test_split_reader_matches_the_stream_reader(tmp_path):
+    rng = random.Random(1616)
+    path = tmp_path / "panel.csv"
+    compared = {"rows": 0, "errors": 0}
+    for _ in range(400):
+        text = plain_csv(rng)
+        path.write_text(text, encoding="utf-8", newline="")
+        assert _split(path) is not None, text
+        new, old = outcome(read_rows, path), outcome(oracle_read_rows, path)
+        assert_same_outcome(new, streamed(path))
+        assert isinstance(new, str) == isinstance(old, str), (text, new, old)
+        if isinstance(old, str):
+            assert new == old, text
+            compared["errors"] += 1
+        else:
+            assert_same_rows(new, old, text)
+            compared["rows"] += len(old)
+    assert compared["errors"] > 100 and compared["rows"] > 1000, compared
+
+
+PLAIN = "region,year,sector,output_per_worker\na,2000,s,1.5\nb,2000,s,2\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'region,year,sector,output_per_worker\n"a",2000,s,1.5\nb,2000,s,2\n',  # a quote
+        PLAIN.replace("\n", "\r\n"),
+        PLAIN.replace("1.5\n", "1.5\rc,2001,s,3\n"),  # a lone carriage return
+        PLAIN.replace("1.5\n", "1.5\n\n"),  # a blank line
+        "\n" + PLAIN,
+        PLAIN + "\n",
+        PLAIN.replace("1.5", "1.5,"),  # a long row
+        PLAIN.replace(",2\n", "\n"),  # a short row
+        PLAIN.replace("1.5", "1\x005"),
+        "",
+    ],
+    ids=["quote", "crlf", "lone cr", "blank line", "leading blank line", "trailing blank line",
+         "long row", "short row", "nul", "empty"],
+)
+def test_other_texts_fall_back_to_the_stream_reader(tmp_path, text):
+    path = tmp_path / "panel.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _split(path) is None
+    new = outcome(read_rows, path)
+    assert_same_outcome(new, streamed(path))
+    try:
+        old = outcome(oracle_read_rows, path)
+    except csv.Error:  # csv before Python 3.11 rejects a NUL
+        return
+    assert isinstance(new, str) == isinstance(old, str), (new, old)
+    if isinstance(old, str):
+        assert new == old
+    else:
+        assert_same_rows(new, old)
+
+
+def test_lines_over_the_field_size_limit_fall_back(tmp_path):
+    path = tmp_path / "panel.csv"
+    limit = csv.field_size_limit(40)
+    try:
+        path.write_text(PLAIN.replace("1.5", "1.5" + "0" * 30), encoding="utf-8")
+        assert _split(path) is None  # a line over the limit, each field within it
+        assert_same_rows(read_rows(path), oracle_read_rows(path))
+        path.write_text(PLAIN.replace("1.5", "1.5" + "0" * 40), encoding="utf-8")
+        assert _split(path) is None
+        error = outcome(read_rows, path)
+        assert error.startswith("error: cannot read CSV after line 1: field larger than")
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_undecodable_text_is_streamed_to_name_its_line(tmp_path):
+    path = tmp_path / "latin1.csv"
+    rows = b"".join(b"a,%d,s,1\n" % year for year in range(2000))
+    path.write_bytes(b"region,year,sector,output_per_worker\n" + rows + b"S\xe3o Paulo,2000,s,1\n")
+    assert _split(path) is None
+    error = outcome(read_rows, path)
+    assert error == streamed(path)
+    assert error.startswith("error: cannot read CSV after line ") and "after line 0" not in error
+
+
+def test_no_collected_object_per_row_from_a_path(tmp_path):
+    # The split path keeps no object per row either, once the panel is built.
+    def tracked(regions):
+        path = tmp_path / f"{regions}.csv"
+        lines = ["region,year,sector,output_per_worker,employment"]
+        lines += [f"r{region:04d},{year},s,{1.5 + region},{20.0 + year}"
+                  for region in range(regions) for year in range(2000, 2020)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert _split(path) is not None
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            panel = panel_from_rows(read_rows(path), "s")
+            return len(gc.get_objects()) - before, panel.regions[-1]
+        finally:
+            gc.enable()
+
+    tracked(100)  # caches filled on a first call
+    small, large = tracked(100), tracked(1000)  # 2,000 and 20,000 rows
+    assert small[0] == large[0]
+    assert (small[1], large[1]) == ("r0099", "r0999")
