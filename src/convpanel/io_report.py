@@ -17,7 +17,8 @@ Each renderer builds one JSON payload whose ``rows`` the md and tsv
 formats print as table rows. Reports render one row per method (Pooling,
 LSDV, GLS), estimates printed to 3 decimals (ties away from zero) with
 t-statistics in parentheses and stars per the significance classes; the
-JSON format keeps full precision.
+JSON format keeps full precision on one compact line (``python -m
+json.tool`` indents it).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ NUMERIC_COLUMNS = (
     "output_per_worker", "employment", "capital_output_ratio", "goods_flow_output_ratio"
 )
 POSITIVE_COLUMNS = ("output_per_worker", "employment")
+GRAPHIC = bytes(range(0x21, 0x7F))  # printable ASCII but the space
 
 METHOD_TITLES = {"pooled": "Pooling", "lsdv": "LSDV", "gls": "GLS"}
 
@@ -209,7 +211,7 @@ def _csv_cells(cells: list[str]) -> list[str]:
     its joined text; printable ASCII without spaces comes back as it is."""
     text = "".join(cells)
     if text.isascii() and "_" not in text:
-        return cells if text.isprintable() and " " not in text else list(map(str.strip, cells))
+        return list(map(str.strip, cells)) if text.encode().translate(None, GRAPHIC) else cells
     return ["_" if not cell.isascii() or "_" in cell else cell for cell in map(str.strip, cells)]
 
 
@@ -463,7 +465,8 @@ def _table(header: list[str], rows: list[list[str]], fmt: str) -> str:
             "| " + " | ".join(header) + " |",
             "|" + "|".join(" --- " for _ in header) + "|",
         ]
-        lines += ["| " + " | ".join(row) + " |" for row in rows]
+        # GFM's escape keeps a "|" in a name inside its cell
+        lines += ["| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |" for row in rows]
         return "\n".join(lines) + "\n"
     raise PanelDataError(f"unknown format {fmt!r}, expected one of {FORMATS}")
 
@@ -562,10 +565,10 @@ def _json(payload) -> str:
     """Strict JSON text: a non-finite number (a t-ratio from a zero
     standard error, say) is written as null."""
     try:
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        return json.dumps(payload, allow_nan=False) + "\n"
     except ValueError:  # raised for a non-finite number
         finite = json.loads(json.dumps(payload), parse_constant=lambda name: None)
-        return json.dumps(finite, indent=2, allow_nan=False) + "\n"
+        return json.dumps(finite, allow_nan=False) + "\n"
 
 
 def render_sigma(series: SigmaSeries, fmt: str = "md") -> str:

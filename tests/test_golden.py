@@ -1,6 +1,6 @@
 """Committed CLI outputs: md, tsv and csv stdout must match byte for
-byte, and JSON must parse to the same document with floats equal to a
-relative 1e-9.
+byte, and JSON must be one line that parses to the same document with
+floats equal to a relative 1e-9.
 
 Inputs live in ``tests/golden/``: ``sim42.csv`` is ``simulate --seed
 42`` (5 regions x 9 periods, productivity only) and ``structural.csv``
@@ -73,6 +73,7 @@ def test_output_matches_golden(name):
     actual = _stdout(CASES[name])
     expected = (GOLDEN / name).read_text(encoding="utf-8")
     if name.endswith(".json"):
+        assert actual.endswith("\n") and actual.count("\n") == 1  # one compact line
         assert _close(json.loads(actual), json.loads(expected))
     else:
         assert actual == expected

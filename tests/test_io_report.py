@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -268,6 +269,23 @@ class TestLocationQuotients:
         payload = json.loads(render_location_quotients(panel, "json"))
         assert payload["sector"] == "agriculture"
         assert len(payload["rows"]) == 45
+
+    def test_md_escapes_pipes_in_region_names(self, tmp_path):
+        body = "".join(
+            f"{region},{year},s,100,,,{emp}\n{region},{year},t,100,,,{3 * emp}\n"
+            for region, emp in (("A|B", 10), ("|x||", 20), ("c", 30))
+            for year in (2001, 2002)
+        )
+        panel = location_quotients_from_rows(read_rows(write_csv(tmp_path, body)), "s")
+        header, _, *rows = render_location_quotients(panel, "md").splitlines()
+        assert header == "| Region | Year | LQ |" and len(rows) == 6
+        cells = [re.split(r"(?<!\\)\|", row) for row in rows]  # split on unescaped pipes
+        assert all(len(row) == 5 and row[0] == row[-1] == "" for row in cells)  # three cells
+        names = [row[1].strip().replace("\\|", "|") for row in cells]
+        assert names == ["A|B", "A|B", "c", "c", "|x||", "|x||"]
+        tsv = render_location_quotients(panel, "tsv").splitlines()[1:]
+        assert [line.split("\t")[0] for line in tsv] == names
+        assert [row["region"] for row in json.loads(render_location_quotients(panel, "json"))["rows"]] == names
 
 
 class TestRenderReport:

@@ -36,7 +36,7 @@ def number(rng):
     if kind < 0.05:
         return ""
     if kind < 0.1:
-        return rng.choice([" ", "\t", " 1.5 ", "\u30002.5", "2.5\x0b", "1e3"])
+        return rng.choice([" ", "\t", " 1.5 ", "\u30002.5", "2.5\x0b", "2.5\x7f", "1e3"])
     return repr(rng.uniform(0.5, 300.0))
 
 
