@@ -74,6 +74,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _replications(text: str) -> int:
+    """A replication count: one replication has no standard deviation."""
+    value = _positive_int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be a positive integer of at least 2, got {value}")
+    return value
+
+
 def _add_dgp_flags(parser):
     parser.add_argument("--seed", type=int, required=True, help="RNG seed (required)")
     parser.add_argument("--regions", type=_positive_int, default=5)
@@ -126,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     recover = sub.add_parser("recover", help="Monte Carlo estimator recovery")
     _add_dgp_flags(recover)
-    recover.add_argument("--reps", type=_positive_int, default=500)
+    recover.add_argument("--reps", type=_replications, default=500)
     recover.add_argument(
         "--methods",
         default="all",

@@ -10,15 +10,22 @@ numeric cells must be finite. One ``str.split`` of a file without quotes,
 carriage returns, blank lines or ragged rows, else one ``csv.reader`` pass,
 reads the whole file, every sector, into columns and integer region, year
 and sector codes, validated column by column; both give the same rows and
-errors, and the first bad row, by line, is reported. A pseudo-region
-``NATIONAL`` may carry national employment totals for location-quotient
-construction; it never enters estimation.
+errors, and the first bad row, by line, is reported. The split's line check
+is one sum of the comma mask over each line. A numeric column without a
+blank cell is parsed straight into its row of floats, the columns with
+blank cells share one mask and one float map, and an all-blank column is
+not parsed; a panel lays out only the numeric columns that hold a value
+somewhere in the file. A pseudo-region ``NATIONAL`` may carry national
+employment totals for location-quotient construction; it never enters
+estimation.
 Each renderer builds one JSON payload whose ``rows`` the md and tsv
-formats print as table rows. Reports render one row per method (Pooling,
-LSDV, GLS), estimates printed to 3 decimals (ties away from zero) with
-t-statistics in parentheses and stars per the significance classes; the
-JSON format keeps full precision on one compact line (``python -m
-json.tool`` indents it).
+formats print as table rows, one line each: a cell's TAB, line break or
+backslash is written as linear TSV's ``\\t``, ``\\n``, ``\\r`` and ``\\\\``,
+and in md a line break as ``<br>`` and a ``|`` as ``\\|``. Reports render one
+row per method (Pooling, LSDV, GLS), estimates printed to 3 decimals (ties
+away from zero) with t-statistics in parentheses and stars per the
+significance classes; the JSON format keeps full precision on one compact
+line (``python -m json.tool`` indents it).
 """
 
 from __future__ import annotations
@@ -56,6 +63,12 @@ GRAPHIC = bytes(range(0x21, 0x7F))  # printable ASCII but the space
 METHOD_TITLES = {"pooled": "Pooling", "lsdv": "LSDV", "gls": "GLS"}
 
 FORMATS = ("md", "tsv", "json")
+# what a table cell's text is written as, replaced in this order: linear TSV's
+# escapes, and in md GitHub-flavoured Markdown's "\|" and a line break as <br>
+ESCAPES = {
+    "tsv": {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"},
+    "md": {"|": "\\|", "\r\n": "<br>", "\r": "<br>", "\n": "<br>"},
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +94,11 @@ def read_rows(source: str | Path | TextIO) -> PanelRows:
     every line, is one ``str.split`` of its text; any other, and an open
     stream, one ``csv.reader`` pass. Both lay the rows' fields end to end
     in one list and give the same rows and errors; each check runs over
-    whole columns. A file with several bad rows is reported by the first,
-    with the message of the first check it fails, in the order of ``_reject_row``.
+    whole columns. A numeric column without a blank cell is parsed into
+    its row with one float map; the columns with blank cells share one
+    mask and one float map; an all-blank column is left NaN unparsed. A
+    file with several bad rows is reported by the first, with the message
+    of the first check it fails, in the order of ``_reject_row``.
 
     Raises
     ------
@@ -127,23 +143,33 @@ def _split(path: Path) -> tuple[list[str], list[str], range] | None:
     """The header, the rows' fields end to end and the lines of the header
     and each row, when ``csv.reader`` reads the file's text as a plain split
     on newlines and commas; else None, as for text that is not UTF-8:
-    streamed, it names the line it fails after."""
+    streamed, it names the line it fails after. Each line's byte length
+    comes from the newline positions and its comma count from one
+    ``np.add.reduceat`` of the comma mask over the line starts; an empty
+    file, a blank line (a trailing one too), a line over the field size
+    limit or one without the header's comma count is None."""
+    raw = path.read_bytes()
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
-            text = handle.read()
+        text = raw.decode("utf-8")
     except UnicodeDecodeError:
         return None
-    if any(char in text for char in '"\r\0'):
+    if any(char in raw for char in b'"\r\0'):
         return None
-    text = text.removesuffix("\n")
-    data = np.frombuffer(text.encode(), np.uint8)  # "\n" and "," are one byte each in UTF-8
+    final = raw.endswith(b"\n")  # a final newline ends the last line and starts none
+    data = np.frombuffer(raw, np.uint8)[: len(raw) - final]  # "\n" and "," are one byte each
     ends = np.append(np.flatnonzero(data == ord("\n")), data.size)  # where each line ends
-    commas = np.diff(np.searchsorted(np.flatnonzero(data == ord(",")), ends), prepend=0)
     sizes = np.diff(ends, prepend=-1) - 1  # in bytes, no fewer than the characters
-    if (commas != commas[0]).any() or not sizes.all() or sizes.max() > csv.field_size_limit():
-        return None  # a line without the header's comma count, a blank line or a long one
+    longest = sizes.max()
+    if not sizes.all() or longest > csv.field_size_limit():
+        return None  # a blank line, so an empty file too, or a long one
+    # each line's commas, summed in a type that holds its byte count, which they cannot exceed
+    commas = np.add.reduceat(data == ord(","), ends - sizes, dtype=np.min_scalar_type(longest))
+    if (commas != commas[0]).any():
+        return None  # a line without the header's comma count
     fields = text.replace("\n", ",").split(",")
-    header = fields[: commas[0] + 1]
+    if final:
+        del fields[-1]  # the empty field after it
+    header = fields[: int(commas[0]) + 1]
     del fields[: len(header)]
     return header, fields, range(1, ends.size + 1)
 
@@ -218,14 +244,20 @@ def _csv_cells(cells: list[str]) -> list[str]:
 def _numbers(columns: list[list[str]]) -> tuple[np.ndarray, list[int]]:
     """The cells of ``NUMERIC_COLUMNS`` as a float array, NaN where a cell
     is blank, and the index of each column's first cell that is not a
-    finite (in ``POSITIVE_COLUMNS``, positive) number, or its length."""
+    finite (in ``POSITIVE_COLUMNS``, positive) number, or its length. A
+    column without a blank cell is parsed straight into its row; the
+    columns with some blank cells share one mask and one float map."""
     n = len(columns[0])
-    used = [i for i, column in enumerate(columns) if column.count("") < n]  # not all empty
-    cells = list(chain.from_iterable(_csv_cells(columns[i]) for i in used))
-    filled = np.zeros((len(columns), n), dtype=bool)
-    filled[used] = np.fromiter(map(bool, cells), bool, len(cells)).reshape(len(used), n)
     values = np.full((len(columns), n), math.nan)
-    values[filled] = _parsed(float, compress(cells, cells), math.nan)  # one float map
+    filled = np.zeros((len(columns), n), dtype=bool)
+    cleaned = {i: _csv_cells(column) for i, column in enumerate(columns) if column.count("") < n}
+    sparse = [i for i, cells in cleaned.items() if not all(cells)]
+    if sparse:
+        cells = list(chain.from_iterable(map(cleaned.pop, sparse)))
+        filled[sparse] = np.fromiter(map(bool, cells), bool, len(cells)).reshape(len(sparse), n)
+        values[filled] = _parsed(float, compress(cells, cells), math.nan)  # one float map
+    for i, cells in cleaned.items():  # the columns left have no blank cell
+        values[i], filled[i] = _parsed(float, cells, math.nan), True
     positive = np.array([[name in POSITIVE_COLUMNS] for name in NUMERIC_COLUMNS])
     failing = filled & ~(np.isfinite(values) & ((values > 0.0) | ~positive))
     return values, [int(row.argmax()) if row.any() else n for row in failing]
@@ -281,16 +313,23 @@ def panel_from_rows(
         elif end is not None:
             where = f" up to {end}"
         raise PanelDataError(f"empty selection: no rows for sector {sector!r}{where}")
-    (used, i), (years, j) = (np.unique(code[keep], return_inverse=True) for code in (region, year))
-    regions = tuple(map(regions.__getitem__, used.tolist()))
-    periods = tuple(map(periods.__getitem__, years.tolist()))
-    numbers = rows.numbers[:, keep]
-    grids = np.full((len(NUMERIC_COLUMNS), len(regions), len(periods)), math.nan)
+    (regions, i), (periods, j) = _used(regions, region[keep]), _used(periods, year[keep])
+    # productivity, and each structural column that holds a value somewhere in the file
+    laid = [0, *(k for k in range(1, len(NUMERIC_COLUMNS)) if not np.isnan(rows.numbers[k]).all())]
+    numbers = rows.numbers[laid][:, keep]
+    grids = np.full((len(laid), len(regions), len(periods)), math.nan)
     grids[:, i, j] = numbers
     values, *views = (CellGrid(regions, periods, grid) for grid in grids)
     filled = (~np.isnan(numbers[1:])).any(axis=1).tolist()
-    structural = dict(compress(zip(NUMERIC_COLUMNS[1:], views), filled))
+    structural = {NUMERIC_COLUMNS[k]: view for k, view in compress(zip(laid[1:], views), filled)}
     return PanelDataset(regions, periods, sector, values, structural)
+
+
+def _used(labels: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """The labels that ``codes`` (indices into sorted ``labels``) name, in
+    order, and each code's index into them."""
+    named = np.bincount(codes, minlength=len(labels)) > 0
+    return tuple(compress(labels, named.tolist())), (np.cumsum(named) - 1)[codes]
 
 
 def read_panel(
@@ -457,18 +496,29 @@ def _fmt3(value: float | None) -> str:
 
 
 def _table(header: list[str], rows: list[list[str]], fmt: str) -> str:
+    """A table, each row on one line whatever its cells (a region name, say) hold."""
+    if fmt not in ESCAPES:
+        raise PanelDataError(f"unknown format {fmt!r}, expected one of {FORMATS}")
+    escapes = ESCAPES[fmt]
+    text = "".join(chain.from_iterable(rows))
+    if any(char in text for char in escapes):  # one test for the whole table
+        rows = [[_escaped(cell, escapes) for cell in row] for row in rows]
     if fmt == "tsv":
         lines = ["\t".join(header)] + ["\t".join(row) for row in rows]
         return "\n".join(lines) + "\n"
-    if fmt == "md":
-        lines = [
-            "| " + " | ".join(header) + " |",
-            "|" + "|".join(" --- " for _ in header) + "|",
-        ]
-        # GFM's escape keeps a "|" in a name inside its cell
-        lines += ["| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |" for row in rows]
-        return "\n".join(lines) + "\n"
-    raise PanelDataError(f"unknown format {fmt!r}, expected one of {FORMATS}")
+    lines = [
+        "| " + " | ".join(header) + " |",
+        "|" + "|".join(" --- " for _ in header) + "|",
+    ]
+    lines += ["| " + " | ".join(row) + " |" for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _escaped(cell: str, escapes: Mapping[str, str]) -> str:
+    """``cell`` with each text of ``escapes`` replaced by its escape, in order."""
+    for text, escape in escapes.items():
+        cell = cell.replace(text, escape)
+    return cell
 
 
 def _render(payload: dict, fmt: str, header: list[str], cells: Callable[[dict], list]) -> str:

@@ -104,6 +104,7 @@ def test_location_quotient_out_of_range_is_a_data_error(tmp_path, capsys, argv):
         ("recover", "--seed", "1", "--periods", "-1"),
         ("recover", "--seed", "1", "--reps", "many"),
         ("simulate", "--seed", "1", "--regions", "0"),
+        ("recover", "--seed", "1", "--reps", "1"),  # one replication has no spread
     ],
 )
 def test_nonpositive_counts_are_usage_errors(capsys, argv):

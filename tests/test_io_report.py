@@ -287,6 +287,34 @@ class TestLocationQuotients:
         assert [line.split("\t")[0] for line in tsv] == names
         assert [row["region"] for row in json.loads(render_location_quotients(panel, "json"))["rows"]] == names
 
+    def test_md_and_tsv_rows_are_one_line_whatever_the_names(self, tmp_path):
+        names = ["A\tX", "C\nD", "E\r\nF", "G\rH", "I\\tJ", "K\\"]
+        body = "".join(
+            f'"{name}",{year},s,100,,,{emp}\n"{name}",{year},t,100,,,{3 * emp}\n'
+            for emp, name in enumerate(names, 1)
+            for year in (2001, 2002)
+        )
+        panel = location_quotients_from_rows(read_rows(write_csv(tmp_path, body)), "s")
+        payload = json.loads(render_location_quotients(panel, "json"))
+        regions = [row["region"] for row in payload["rows"]]
+        assert sorted(set(regions)) == sorted(names)
+        text = {fmt: render_location_quotients(panel, fmt) for fmt in ("md", "tsv")}
+        assert "\r" not in text["md"] + text["tsv"]
+        md = text["md"].split("\n")
+        assert md[0] == "| Region | Year | LQ |" and md[-1] == "" and len(md) == 2 + len(regions) + 1
+        cells = [re.split(r"(?<!\\)\|", row) for row in md[2:-1]]  # split on unescaped pipes
+        assert all(len(row) == 5 and row[0] == row[-1] == "" for row in cells)  # three cells
+        assert [row[1].strip() for row in cells] == [
+            region.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
+            for region in regions
+        ]
+        tsv = text["tsv"].split("\n")
+        assert tsv[0] == "Region\tYear\tLQ" and tsv[-1] == "" and len(tsv) == 1 + len(regions) + 1
+        fields = [line.split("\t") for line in tsv[1:-1]]
+        assert all(len(row) == 3 for row in fields)
+        unescape = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}  # linear TSV's escapes
+        assert [re.sub(r"\\(.)", lambda m: unescape[m[1]], row[0]) for row in fields] == regions
+
 
 class TestRenderReport:
     def reports(self, methods=("pooled", "lsdv", "gls"), seed=1):

@@ -4,9 +4,9 @@ The oracle below is the ``csv.DictReader`` loop that ``read_rows`` ran
 before it parsed whole columns, with the row objects, row selection and
 per-cell location quotients of that time. On seeded random CSV texts (blank
 lines, quoted multi-line cells, short and long rows, padded cells,
-repeated header names, a byte-order mark, missing columns and several
-bad cells at once) both must give the same rows, the same panel for
-every sector and window, the same location quotients, and the same
+repeated header names, a byte-order mark, missing columns, several
+bad cells at once and a structural column filled for one sector only)
+both must give the same rows, the same panel for every sector and window, the same location quotients, and the same
 error message with the same line number. One more case does the same at
 the scale of a 300-region panel, and one checks that reading a file
 keeps no garbage-collected object per row.
@@ -324,6 +324,10 @@ def random_csv(rng):
         for name in NUMERIC:
             row[name] = number(rng)
         rows.append(row)
+    structural = [name for name in OPTIONAL_COLUMNS if name in header]
+    split = rng.choice(structural) if structural and rng.random() < 0.2 else None
+    for row in rows if split else ():  # a column filled for sector s and blank for t
+        row[split] = repr(rng.uniform(0.5, 300.0)) if row["sector"].strip() == "s" else ""
     row = rng.choice(rows) if rows else None
     for _ in range(rng.choice([0, 0, 0, 1, 2, 3]) if rows else 0):
         if rng.random() < 0.5:
@@ -353,7 +357,7 @@ def random_csv(rng):
             lines.append("")  # blank line
         lines.append(",".join(quoted(rng, cell) for cell in cells))
     text = newline.join(lines) + (newline if rng.random() < 0.9 else "")
-    return ("\ufeff" if rng.random() < 0.1 else "") + text
+    return ("\ufeff" if rng.random() < 0.1 else "") + text, split
 
 
 def outcome(func, *args):
@@ -369,9 +373,9 @@ WINDOWS = [(None, None), (2001, None), (None, 2002), (2001, 2003)]
 def test_columnar_reader_matches_the_row_reader(tmp_path):
     rng = random.Random(20111)
     path = tmp_path / "panel.csv"
-    compared = {"rows": 0, "errors": 0, "panels": 0, "lq": 0}
+    compared = {"rows": 0, "errors": 0, "panels": 0, "lq": 0, "split kept": 0, "split dropped": 0}
     for case in range(1000):
-        text = random_csv(rng)
+        text, split = random_csv(rng)
         if case % 10 == 0:
             path.write_text(text, encoding="utf-8", newline="")
             new, old = outcome(read_rows, path), outcome(oracle_read_rows, path)
@@ -390,6 +394,10 @@ def test_columnar_reader_matches_the_row_reader(tmp_path):
                 panel = outcome(panel_from_rows, new, sector, start, end)
                 assert panel == outcome(oracle_panel, old, sector, start, end), text
                 compared["panels"] += not isinstance(panel, str)
+                if split and not isinstance(panel, str):  # laid out, then dropped for t only
+                    assert sector == "s" or split not in panel.structural, text
+                    compared["split kept"] += split in panel.structural
+                    compared["split dropped"] += sector == "t"
                 lq = outcome(location_quotients_from_rows, new, sector, start, end)
                 assert lq == outcome(oracle_lq, old, sector, start, end), text
                 compared["lq"] += not isinstance(lq, str)

@@ -4,7 +4,9 @@
 ``csv.reader`` would read its text as a plain split. On seeded random
 quote-free texts (bad years, bad and whitespace-only numbers, blank
 names, duplicate keys, a byte-order mark, repeated header names, Python
-literals such as ``2_001`` and full-width digits) it must give what the
+literals such as ``2_001`` and full-width digits, and the cases of
+``CASES``: a column blank in every row, long files without a blank
+number, 130 commas a line, a trailing blank line) it must give what the
 ``csv.reader`` loop gives for the same file as a stream, and what the
 row-by-row oracle gives: the same labels, codes and bitwise numbers, or
 the same error with the same line. Texts that the split would misread
@@ -31,18 +33,20 @@ BAD_YEARS = ["20x1", "", "\x1c2001", "2001.0", "2_001", "\uff12\uff10\uff10\uff1
 NUMERIC = ("output_per_worker",) + OPTIONAL_COLUMNS
 
 
-def number(rng):
+def number(rng, blanks=True):
     kind = rng.random()
-    if kind < 0.05:
+    if kind < 0.05 and blanks:
         return ""
     if kind < 0.1:
-        return rng.choice([" ", "\t", " 1.5 ", "\u30002.5", "2.5\x0b", "2.5\x7f", "1e3"])
+        cells = [" ", "\t", " 1.5 ", "\u30002.5", "2.5\x0b", "2.5\x7f", "1e3"]
+        return rng.choice(cells if blanks else cells[2:])
     return repr(rng.uniform(0.5, 300.0))
 
 
 def plain_csv(rng):
-    """A random CSV text without quotes, carriage returns or blank lines,
-    every row as wide as the header."""
+    """A random CSV text without quotes, carriage returns or blank lines
+    but perhaps a trailing one, every row as wide as the header; and the
+    cases of ``CASES`` that it holds."""
     header = list(REQUIRED_COLUMNS) + [c for c in OPTIONAL_COLUMNS if rng.random() < 0.6]
     rng.shuffle(header)
     if rng.random() < 0.04:
@@ -51,25 +55,37 @@ def plain_csv(rng):
         header.append(rng.choice(header))  # a repeated name: its last column counts
     if rng.random() < 0.1:
         header.insert(rng.randrange(len(header) + 1), "note")
+    if rng.random() < 0.06:  # 130 commas a line; blank pads keep a line under 256 bytes
+        header += ["pad"] * (131 - len(header))
+    long = rng.random() < 0.06
+    full = long or rng.random() < 0.3  # no blank number; long files hold none
+    regions = [f"r{i:03d}" for i in range(50)] if long else rng.sample(REGIONS, rng.randint(1, len(REGIONS)))
     keys = [
         (region, year, sector)
-        for region in rng.sample(REGIONS, rng.randint(1, len(REGIONS)))
-        for year in range(2000, 2000 + rng.randint(1, 5))
+        for region in regions
+        for year in range(2000, 2000 + (5 if long else rng.randint(1, 5)))
         for sector in rng.sample(["s", "t"], rng.randint(1, 2))
         if rng.random() < 0.8
     ]
     rng.shuffle(keys)
     if keys and rng.random() < 0.15:
         keys.insert(rng.randrange(len(keys) + 1), rng.choice(keys))
-    rows = []
+    rows, pad = [], rng.choice(["", "", "p"])
     for region, year, sector in keys:
-        row = {"region": region, "year": str(year), "sector": sector, "note": "n q"}
+        row = {"region": region, "year": str(year), "sector": sector, "note": "n q", "pad": pad}
         if rng.random() < 0.1:
             row["year"] = rng.choice([f" {year} ", f"0{year}"])
         if rng.random() < 0.05:
             row["sector"] = f" {sector}"
-        row.update((name, number(rng)) for name in NUMERIC)
+        row.update((name, number(rng, blanks=not full)) for name in NUMERIC)
         rows.append(row)
+    numeric = [name for name in NUMERIC if name in header]
+    if rows and numeric and rng.random() < 0.15:  # whitespace-only cells in a full column
+        name = rng.choice(numeric)
+        for row in rows:
+            row[name] = number(rng, blanks=False)
+        for row in rng.sample(rows, rng.randint(1, min(3, len(rows)))):
+            row[name] = rng.choice([" ", "\t", "  "])
     for _ in range(rng.choice([0, 0, 0, 1, 2]) if rows else 0):  # bad cells
         row, name = rng.choice(rows), rng.choice(header)
         if name in ("region", "sector"):
@@ -78,9 +94,37 @@ def plain_csv(rng):
             row[name] = rng.choice(BAD_YEARS)
         else:
             row[name] = rng.choice(BAD_NUMBERS)
+    if numeric and rng.random() < 0.15:  # a column in the header, blank in every row
+        name = rng.choice(numeric)
+        for row in rows:
+            row[name] = ""
     lines = [",".join(header)] + [",".join(row.get(name, "zz") for name in header) for row in rows]
-    text = "\n".join(lines) + ("\n" if rng.random() < 0.9 else "")
-    return ("\ufeff" if rng.random() < 0.1 else "") + text
+    text = "\n".join(lines) + rng.choice(["\n"] * 17 + ["", "", "\n\n"])
+
+    columns = [[row[name] for row in rows] for name in numeric] if rows else []
+    full_columns = ["" not in column and all(map(str.strip, column)) for column in columns]
+    cases = {
+        "blank column": any(not any(column) for column in columns),
+        "long, no blank number": len(rows) > 200 and all(full_columns),
+        "whitespace-only cells in a full column": any(
+            "" not in column and any(map(str.strip, column)) and not all(map(str.strip, column))
+            for column in columns
+        ),
+        "full and blank-holding columns": any(full_columns) and not all(full_columns),
+        "130 commas a line": len(header) > 130,
+        "trailing blank line": text.endswith("\n\n"),
+    }
+    return ("\ufeff" if rng.random() < 0.1 else "") + text, {name for name, held in cases.items() if held}
+
+
+CASES = (
+    "blank column",
+    "long, no blank number",
+    "whitespace-only cells in a full column",
+    "full and blank-holding columns",
+    "130 commas a line",
+    "trailing blank line",
+)
 
 
 def streamed(path):
@@ -102,10 +146,12 @@ def test_split_reader_matches_the_stream_reader(tmp_path):
     rng = random.Random(1616)
     path = tmp_path / "panel.csv"
     compared = {"rows": 0, "errors": 0}
+    reached = dict.fromkeys(CASES, 0)
     for _ in range(400):
-        text = plain_csv(rng)
+        text, cases = plain_csv(rng)
+        reached.update((case, reached[case] + 1) for case in cases)
         path.write_text(text, encoding="utf-8", newline="")
-        assert _split(path) is not None, text
+        assert (_split(path) is None) == ("trailing blank line" in cases), text
         new, old = outcome(read_rows, path), outcome(oracle_read_rows, path)
         assert_same_outcome(new, streamed(path))
         assert isinstance(new, str) == isinstance(old, str), (text, new, old)
@@ -116,6 +162,7 @@ def test_split_reader_matches_the_stream_reader(tmp_path):
             assert_same_rows(new, old, text)
             compared["rows"] += len(old)
     assert compared["errors"] > 100 and compared["rows"] > 1000, compared
+    assert min(reached.values()) >= 10, reached  # the generator reaches every case
 
 
 PLAIN = "region,year,sector,output_per_worker\na,2000,s,1.5\nb,2000,s,2\n"
@@ -131,12 +178,13 @@ PLAIN = "region,year,sector,output_per_worker\na,2000,s,1.5\nb,2000,s,2\n"
         "\n" + PLAIN,
         PLAIN + "\n",
         PLAIN.replace("1.5", "1.5,"),  # a long row
+        PLAIN.replace("1.5", "1.5" + "," * 256),  # as many commas as the header, modulo 256
         PLAIN.replace(",2\n", "\n"),  # a short row
         PLAIN.replace("1.5", "1\x005"),
         "",
     ],
     ids=["quote", "crlf", "lone cr", "blank line", "leading blank line", "trailing blank line",
-         "long row", "short row", "nul", "empty"],
+         "long row", "long row by 256 commas", "short row", "nul", "empty"],
 )
 def test_other_texts_fall_back_to_the_stream_reader(tmp_path, text):
     path = tmp_path / "panel.csv"
