@@ -120,8 +120,10 @@ def _check_sample(sample: GrowthSample, spec: ModelSpec) -> None:
 
 
 def _result(sample: GrowthSample, fits: _BlockFit) -> FitResult | _BlockFit:
-    """A single sample's fit as a FitResult; a block's fits as they are."""
-    return fits if sample.batched else fits.member(0, sample.rows.code, sample.rows.year)
+    """A single sample's fit as a FitResult, its rows (grouped by region in
+    year order) taken as they are for Durbin-Watson; a block's fits as they are."""
+    code = sample.rows.code
+    return fits if sample.batched else fits.member(0, slice(None), code[1:] == code[:-1])
 
 
 def fit_pooled(sample: GrowthSample, spec: ModelSpec) -> FitResult | _BlockFit:

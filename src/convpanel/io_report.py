@@ -21,11 +21,11 @@ estimation.
 Each renderer builds one JSON payload whose ``rows`` the md and tsv
 formats print as table rows, one line each: a cell's TAB, line break or
 backslash is written as linear TSV's ``\\t``, ``\\n``, ``\\r`` and ``\\\\``,
-and in md a line break as ``<br>`` and a ``|`` as ``\\|``. Reports render one
-row per method (Pooling, LSDV, GLS), estimates printed to 3 decimals (ties
-away from zero) with t-statistics in parentheses and stars per the
-significance classes; the JSON format keeps full precision on one compact
-line (``python -m json.tool`` indents it).
+and in md a line break as ``<br>``, a backslash as ``\\\\`` and a ``|`` as
+``\\|``. Reports render one row per method (Pooling, LSDV, GLS), estimates
+printed to 3 decimals (ties away from zero) with t-statistics in
+parentheses and stars per the significance classes; the JSON format keeps
+full precision on one compact line (``python -m json.tool`` indents it).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import chain, compress, product
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -64,10 +64,10 @@ METHOD_TITLES = {"pooled": "Pooling", "lsdv": "LSDV", "gls": "GLS"}
 
 FORMATS = ("md", "tsv", "json")
 # what a table cell's text is written as, replaced in this order: linear TSV's
-# escapes, and in md GitHub-flavoured Markdown's "\|" and a line break as <br>
+# escapes, and in md GitHub-flavoured Markdown's "\\" and "\|" and a line break as <br>
 ESCAPES = {
     "tsv": {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"},
-    "md": {"|": "\\|", "\r\n": "<br>", "\r": "<br>", "\n": "<br>"},
+    "md": {"\\": "\\\\", "|": "\\|", "\r\n": "<br>", "\r": "<br>", "\n": "<br>"},
 }
 
 
@@ -86,7 +86,7 @@ class PanelRows:
         return self.codes.shape[1]
 
 
-def read_rows(source: str | Path | TextIO) -> PanelRows:
+def read_rows(source: str | Path | TextIO | Iterator[str]) -> PanelRows:
     """Parse and validate every row of a long-format panel CSV.
 
     A file named by path with no quote, carriage return, NUL, blank line or
@@ -94,11 +94,12 @@ def read_rows(source: str | Path | TextIO) -> PanelRows:
     every line, is one ``str.split`` of its text; any other, and an open
     stream, one ``csv.reader`` pass. Both lay the rows' fields end to end
     in one list and give the same rows and errors; each check runs over
-    whole columns. A numeric column without a blank cell is parsed into
-    its row with one float map; the columns with blank cells share one
-    mask and one float map; an all-blank column is left NaN unparsed. A
-    file with several bad rows is reported by the first, with the message
-    of the first check it fails, in the order of ``_reject_row``.
+    whole columns; a named file that is not UTF-8 is read as a stream that
+    fails at its first bad byte. A numeric column without a blank cell is
+    parsed into its row with one float map; the columns with blank cells
+    share one mask and one float map; an all-blank column is left NaN
+    unparsed. A file with several bad rows is reported by the first, with
+    the message of the first check it fails, in the order of ``_reject_row``.
 
     Raises
     ------
@@ -112,13 +113,16 @@ def read_rows(source: str | Path | TextIO) -> PanelRows:
         if not path.exists():
             raise PanelDataError(f"input file not found: {path}")
         try:
-            split = _split(path)
-            if split is None:
-                with path.open(newline="", encoding="utf-8") as handle:
-                    return read_rows(handle)
+            raw = path.read_bytes()
         except OSError as error:  # a directory, say, or no permission
             raise PanelDataError(f"cannot read input file {path}: {error.strerror}") from None
-        return _columns(*split)
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as error:  # read as a stream that fails at the bad byte
+            whole = raw[: raw.rfind(b"\n", 0, error.start) + 1]  # the lines before the bad byte's
+            return read_rows(_failing_after(whole.decode("utf-8"), error))
+        split = _split(raw, text)
+        return _columns(*split) if split else read_rows(io.StringIO(text, newline=""))
 
     reader, header = csv.reader(source), None
     fields, lines = [], [0]  # the rows' fields end to end; the header's and rows' last lines
@@ -139,20 +143,21 @@ def read_rows(source: str | Path | TextIO) -> PanelRows:
     return _columns(header, fields, lines)
 
 
-def _split(path: Path) -> tuple[list[str], list[str], range] | None:
+def _failing_after(text: str, error: UnicodeDecodeError) -> Iterator[str]:
+    """The lines of ``text``, then ``error`` raised: what a stream gives
+    when it fails to decode the byte after them."""
+    yield from io.StringIO(text, newline="")
+    raise error
+
+
+def _split(raw: bytes, text: str) -> tuple[list[str], list[str], range] | None:
     """The header, the rows' fields end to end and the lines of the header
-    and each row, when ``csv.reader`` reads the file's text as a plain split
-    on newlines and commas; else None, as for text that is not UTF-8:
-    streamed, it names the line it fails after. Each line's byte length
-    comes from the newline positions and its comma count from one
-    ``np.add.reduceat`` of the comma mask over the line starts; an empty
-    file, a blank line (a trailing one too), a line over the field size
-    limit or one without the header's comma count is None."""
-    raw = path.read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
+    and each row, when ``csv.reader`` reads a file's text, decoded from
+    ``raw``, as a plain split on newlines and commas; else None. Each
+    line's byte length comes from the newline positions and its comma
+    count from one ``np.add.reduceat`` of the comma mask over the line
+    starts; an empty file, a blank line (a trailing one too), a line over
+    the field size limit or one without the header's comma count is None."""
     if any(char in raw for char in b'"\r\0'):
         return None
     final = raw.endswith(b"\n")  # a final newline ends the last line and starts none

@@ -33,6 +33,23 @@ def write_csv(tmp_path, body, name="panel.csv", header=CSV_HEADER):
     return path
 
 
+def md_cells(row):
+    """A md table row split on its cell delimiters, as GitHub-flavoured
+    Markdown reads it: each ``|`` after an even number of backslashes."""
+    cells = [""]
+    for token in re.findall(r"\\.|.", row):
+        if token == "|":
+            cells.append("")
+        else:
+            cells[-1] += token
+    return cells
+
+
+def md_rendered(cell):
+    """What GitHub-flavoured Markdown shows for a md cell's escaped ``\\`` and ``|``."""
+    return re.sub(r"\\([\\|])", r"\1", cell.strip())
+
+
 def five_region_csv(tmp_path, years=range(1986, 1995), sectors=("agriculture",)):
     lines = []
     for sector_index, sector in enumerate(sectors):
@@ -273,18 +290,18 @@ class TestLocationQuotients:
     def test_md_escapes_pipes_in_region_names(self, tmp_path):
         body = "".join(
             f"{region},{year},s,100,,,{emp}\n{region},{year},t,100,,,{3 * emp}\n"
-            for region, emp in (("A|B", 10), ("|x||", 20), ("c", 30))
+            for region, emp in (("A|B", 10), ("|x||", 20), ("c", 30), ("a\\|b", 40))
             for year in (2001, 2002)
         )
         panel = location_quotients_from_rows(read_rows(write_csv(tmp_path, body)), "s")
         header, _, *rows = render_location_quotients(panel, "md").splitlines()
-        assert header == "| Region | Year | LQ |" and len(rows) == 6
-        cells = [re.split(r"(?<!\\)\|", row) for row in rows]  # split on unescaped pipes
+        assert header == "| Region | Year | LQ |" and len(rows) == 8
+        cells = [md_cells(row) for row in rows]
         assert all(len(row) == 5 and row[0] == row[-1] == "" for row in cells)  # three cells
-        names = [row[1].strip().replace("\\|", "|") for row in cells]
-        assert names == ["A|B", "A|B", "c", "c", "|x||", "|x||"]
+        names = [md_rendered(row[1]) for row in cells]
+        assert names == ["A|B", "A|B", "a\\|b", "a\\|b", "c", "c", "|x||", "|x||"]
         tsv = render_location_quotients(panel, "tsv").splitlines()[1:]
-        assert [line.split("\t")[0] for line in tsv] == names
+        assert [line.split("\t")[0].replace("\\\\", "\\") for line in tsv] == names
         assert [row["region"] for row in json.loads(render_location_quotients(panel, "json"))["rows"]] == names
 
     def test_md_and_tsv_rows_are_one_line_whatever_the_names(self, tmp_path):
@@ -302,9 +319,9 @@ class TestLocationQuotients:
         assert "\r" not in text["md"] + text["tsv"]
         md = text["md"].split("\n")
         assert md[0] == "| Region | Year | LQ |" and md[-1] == "" and len(md) == 2 + len(regions) + 1
-        cells = [re.split(r"(?<!\\)\|", row) for row in md[2:-1]]  # split on unescaped pipes
+        cells = [md_cells(row) for row in md[2:-1]]
         assert all(len(row) == 5 and row[0] == row[-1] == "" for row in cells)  # three cells
-        assert [row[1].strip() for row in cells] == [
+        assert [md_rendered(row[1]) for row in cells] == [
             region.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
             for region in regions
         ]

@@ -282,6 +282,8 @@ class TestDurbinWatson:
 
 
 LEVELS = (0.01, 0.05, 0.10)
+# the closed-form quantiles are checked from the far tail to the centre
+CLOSED_FORM_LEVELS = (1e-6, 0.01, 0.05, 0.10, 0.5, 0.9, 0.999)
 
 
 class TestTCritical:
@@ -298,19 +300,19 @@ class TestTCritical:
 
     def test_df_1_closed_form(self):
         # the Cauchy quantile
-        for level in LEVELS:
+        for level in CLOSED_FORM_LEVELS:
             expected = math.tan(math.pi * (1.0 - level) / 2.0)
             assert t_critical(1, level) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     def test_df_2_closed_form(self):
         # t*(2, a) = sqrt(2/(a(2-a)) - 2)
-        for level in LEVELS:
+        for level in CLOSED_FORM_LEVELS:
             expected = math.sqrt(2.0 / (level * (2.0 - level)) - 2.0)
             assert t_critical(2, level) == pytest.approx(expected, abs=1e-9)  # values > 1: rel < 1e-9
 
     def test_df_4_closed_form(self):
         # t*(4, a) = 2 sqrt(q - 1) with q = cos(arccos(sqrt(b))/3)/sqrt(b), b = a(2-a)
-        for level in LEVELS:
+        for level in CLOSED_FORM_LEVELS:
             b = level * (2.0 - level)
             q = math.cos(math.acos(math.sqrt(b)) / 3.0) / math.sqrt(b)
             assert t_critical(4, level) == pytest.approx(2.0 * math.sqrt(q - 1.0), rel=1e-9, abs=0.0)

@@ -1,11 +1,12 @@
-"""The per-replication path of the Monte Carlo loop.
+"""The fits' Durbin-Watson path and the Monte Carlo replication samples.
 
-``durbin_watson`` takes rows already grouped by integer region code and
-in strict year order as they come; any other order, or string regions,
-goes through the general sort. Both must give the grouped statistic.
-``recovery_experiment`` is pinned to figures recorded before the loop
-built its samples straight from the simulated log levels, and it makes
-exactly one fit call per method for each block of replications.
+A single sample's fit takes its rows as they come, grouped by region
+and in year order, and never sorts them; ``durbin_watson`` groups any
+rows by region and year, string regions too. Both must give the
+grouped statistic of the general sort. ``recovery_experiment`` is
+pinned to figures recorded before the loop built its samples straight
+from the simulated log levels, and it makes exactly one fit call per
+method for each block of replications.
 """
 
 import math
@@ -15,7 +16,7 @@ import pytest
 
 import convpanel.montecarlo as mc
 from convpanel.errors import PanelDataError
-from convpanel.estimators import METHODS
+from convpanel.estimators import METHODS, ModelSpec, fit_method
 from convpanel.montecarlo import SimulationConfig, recovery_experiment, simulate_panel
 from convpanel.panel import CellGrid, PanelDataset, build_growth_sample, growth_sample_from_logs
 from convpanel.regression import durbin_watson
@@ -51,17 +52,25 @@ def random_panel_rows(rng):
     return np.array(codes), np.array(years), rng.normal(size=len(codes))
 
 
+def random_log_grid(rng):
+    """Log levels of a random regions x periods grid, NaN where a cell is
+    absent: holes everywhere, and a region with a single transition."""
+    regions, periods = int(rng.integers(4, 9)), int(rng.integers(6, 12))
+    logs = rng.normal(size=(regions, periods)).cumsum(axis=1)
+    logs[rng.random(logs.shape) < 0.2] = np.nan
+    single = int(rng.integers(0, regions))
+    logs[single] = np.nan
+    start = int(rng.integers(0, periods - 1))
+    logs[single, start : start + 2] = rng.normal(size=2)
+    return logs, tuple(f"R{i}" for i in range(regions)), tuple(range(2000, 2000 + periods))
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_ordered_fast_path_matches_general_path(seed, monkeypatch):
     rng = np.random.default_rng(seed)
     codes, years, residuals = random_panel_rows(rng)
     expected = sorted_durbin_watson(residuals, codes, years)
-
-    with monkeypatch.context() as patched:
-        # rows in order with integer codes never reach the sort
-        patched.setattr(np, "lexsort", lambda keys: pytest.fail("ordered rows were sorted"))
-        in_order = durbin_watson(residuals, codes, years)
-    assert in_order == expected  # the same arithmetic, so the same bits
+    assert durbin_watson(residuals, codes, years) == expected  # the same arithmetic, so the same bits
 
     shuffle = rng.permutation(len(codes))
     shuffled = durbin_watson(residuals[shuffle], codes[shuffle], years[shuffle])
@@ -72,6 +81,15 @@ def test_ordered_fast_path_matches_general_path(seed, monkeypatch):
             assert value is None
         else:
             assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    sample = growth_sample_from_logs(*random_log_grid(rng), "s")
+    assert 1 in np.bincount(sample.rows.code)  # a region with a single row
+    with monkeypatch.context() as patched, pytest.warns(UserWarning, match="single row"):
+        # a fit takes the sample's rows in the order they come
+        patched.setattr(np, "lexsort", lambda keys: pytest.fail("a fit sorted its rows"))
+        fits = [fit_method(method, sample, ModelSpec(method=method)) for method in METHODS]
+    for fit in fits:
+        assert fit.dw == sorted_durbin_watson(fit.residuals, sample.rows.code, sample.rows.year)
 
 
 def test_repeated_year_in_a_region_takes_the_general_path():

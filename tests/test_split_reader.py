@@ -127,6 +127,12 @@ CASES = (
 )
 
 
+def split(path):
+    """``_split`` of a UTF-8 file's bytes and text."""
+    raw = path.read_bytes()
+    return _split(raw, raw.decode("utf-8"))
+
+
 def streamed(path):
     with path.open(newline="", encoding="utf-8") as handle:
         return outcome(read_rows, handle)
@@ -151,7 +157,7 @@ def test_split_reader_matches_the_stream_reader(tmp_path):
         text, cases = plain_csv(rng)
         reached.update((case, reached[case] + 1) for case in cases)
         path.write_text(text, encoding="utf-8", newline="")
-        assert (_split(path) is None) == ("trailing blank line" in cases), text
+        assert (split(path) is None) == ("trailing blank line" in cases), text
         new, old = outcome(read_rows, path), outcome(oracle_read_rows, path)
         assert_same_outcome(new, streamed(path))
         assert isinstance(new, str) == isinstance(old, str), (text, new, old)
@@ -189,7 +195,7 @@ PLAIN = "region,year,sector,output_per_worker\na,2000,s,1.5\nb,2000,s,2\n"
 def test_other_texts_fall_back_to_the_stream_reader(tmp_path, text):
     path = tmp_path / "panel.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    assert _split(path) is None
+    assert split(path) is None
     new = outcome(read_rows, path)
     assert_same_outcome(new, streamed(path))
     try:
@@ -208,10 +214,10 @@ def test_lines_over_the_field_size_limit_fall_back(tmp_path):
     limit = csv.field_size_limit(40)
     try:
         path.write_text(PLAIN.replace("1.5", "1.5" + "0" * 30), encoding="utf-8")
-        assert _split(path) is None  # a line over the limit, each field within it
+        assert split(path) is None  # a line over the limit, each field within it
         assert_same_rows(read_rows(path), oracle_read_rows(path))
         path.write_text(PLAIN.replace("1.5", "1.5" + "0" * 40), encoding="utf-8")
-        assert _split(path) is None
+        assert split(path) is None
         error = outcome(read_rows, path)
         assert error.startswith("error: cannot read CSV after line 1: field larger than")
     finally:
@@ -222,10 +228,24 @@ def test_undecodable_text_is_streamed_to_name_its_line(tmp_path):
     path = tmp_path / "latin1.csv"
     rows = b"".join(b"a,%d,s,1\n" % year for year in range(2000))
     path.write_bytes(b"region,year,sector,output_per_worker\n" + rows + b"S\xe3o Paulo,2000,s,1\n")
-    assert _split(path) is None
     error = outcome(read_rows, path)
-    assert error == streamed(path)
-    assert error.startswith("error: cannot read CSV after line ") and "after line 0" not in error
+    # the bad byte is on line 2002; its position counts from the start of the file
+    position = path.read_bytes().index(b"\xe3")
+    assert error == (
+        "error: cannot read CSV after line 2001: "
+        f"'utf-8' codec can't decode byte 0xe3 in position {position}: invalid continuation byte"
+    )
+
+
+def test_a_bad_row_before_undecodable_text_is_reported_first(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"region,year,sector,output_per_worker\na,2000,s,1\na,2000,s,2\nS\xe3o,2000,s,1\n")
+    assert outcome(read_rows, path) == (
+        "error: line 3: duplicate (region, year, sector) key ('a', 2000, 's'), first seen on line 2"
+    )
+    # a quoted name that spans the bad byte's line is not read as a row cut short
+    path.write_bytes(b'region,year,sector,output_per_worker\na,2000,s,1\n"b\nS\xe3o",2000,s,1\n')
+    assert outcome(read_rows, path).startswith("error: cannot read CSV after line 2: 'utf-8' codec")
 
 
 def test_no_collected_object_per_row_from_a_path(tmp_path):
@@ -236,7 +256,7 @@ def test_no_collected_object_per_row_from_a_path(tmp_path):
         lines += [f"r{region:04d},{year},s,{1.5 + region},{20.0 + year}"
                   for region in range(regions) for year in range(2000, 2020)]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert _split(path) is not None
+        assert split(path) is not None
         gc.collect()
         gc.disable()
         try:
