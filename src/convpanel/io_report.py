@@ -110,11 +110,11 @@ def read_rows(source: str | Path | TextIO | Iterator[str]) -> PanelRows:
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
-        if not path.exists():
-            raise PanelDataError(f"input file not found: {path}")
         try:
             raw = path.read_bytes()
-        except OSError as error:  # a directory, say, or no permission
+        except (FileNotFoundError, NotADirectoryError, ValueError):  # ValueError: a NUL in the name
+            raise PanelDataError(f"input file not found: {path}") from None
+        except OSError as error:  # a directory, say, a name too long or no permission
             raise PanelDataError(f"cannot read input file {path}: {error.strerror}") from None
         try:
             text = raw.decode("utf-8")
@@ -318,7 +318,7 @@ def panel_from_rows(
         elif end is not None:
             where = f" up to {end}"
         raise PanelDataError(f"empty selection: no rows for sector {sector!r}{where}")
-    (regions, i), (periods, j) = _used(regions, region[keep]), _used(periods, year[keep])
+    (regions, i), (periods, j) = CellGrid.used(regions, region[keep]), CellGrid.used(periods, year[keep])
     # productivity, and each structural column that holds a value somewhere in the file
     laid = [0, *(k for k in range(1, len(NUMERIC_COLUMNS)) if not np.isnan(rows.numbers[k]).all())]
     numbers = rows.numbers[laid][:, keep]
@@ -328,13 +328,6 @@ def panel_from_rows(
     filled = (~np.isnan(numbers[1:])).any(axis=1).tolist()
     structural = {NUMERIC_COLUMNS[k]: view for k, view in compress(zip(laid[1:], views), filled)}
     return PanelDataset(regions, periods, sector, values, structural)
-
-
-def _used(labels: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """The labels that ``codes`` (indices into sorted ``labels``) name, in
-    order, and each code's index into them."""
-    named = np.bincount(codes, minlength=len(labels)) > 0
-    return tuple(compress(labels, named.tolist())), (np.cumsum(named) - 1)[codes]
 
 
 def read_panel(

@@ -74,20 +74,19 @@ class SimulationConfig:
             raise PanelDataError(f"noise standard deviation must be positive, got {self.noise_sd}")
         if self.initial_dispersion < 0.0:
             raise PanelDataError("initial dispersion cannot be negative")
-        if isinstance(self.region_effects, tuple):
-            if len(self.region_effects) != self.regions:
-                raise PanelDataError(
-                    f"{len(self.region_effects)} region effects for {self.regions} regions"
-                )
-        elif self.region_effects < 0.0:
-            raise PanelDataError("region-effect variance cannot be negative")
         finite = {
             "intercept": self.intercept,
             "noise standard deviation": self.noise_sd,
             "initial dispersion": self.initial_dispersion,
         }
         if isinstance(self.region_effects, tuple):
+            if len(self.region_effects) != self.regions:
+                raise PanelDataError(
+                    f"{len(self.region_effects)} region effects for {self.regions} regions"
+                )
             finite.update((f"region effect {i + 1}", e) for i, e in enumerate(self.region_effects))
+        elif self.region_effects < 0.0:
+            raise PanelDataError("region-effect variance cannot be negative")
         else:
             finite["region-effect variance"] = self.region_effects
         for name, value in finite.items():
@@ -158,13 +157,13 @@ def _log_levels(config: SimulationConfig, seeds) -> np.ndarray:
         start[b] = rng.standard_normal(r)
         shocks[b] = rng.standard_normal((r, t - 1))
 
-    if config.b_true < 0.0:
-        anchors = (config.intercept + effects) / (-config.b_true)
-    else:
-        anchors = np.zeros_like(effects)
     by_year = np.empty((t, len(seeds), r))  # year-major, so each step writes one contiguous slab
     # a level that overflows is reported by _checked_levels as the cell it spoils
     with np.errstate(over="ignore", invalid="ignore"):
+        if config.b_true < 0.0:
+            anchors = (config.intercept + effects) / (-config.b_true)
+        else:
+            anchors = np.zeros_like(effects)
         by_year[0] = anchors + config.initial_dispersion * start
         steps = (config.noise_sd * shocks).transpose(2, 0, 1)
         drift, persistence = config.intercept + effects, 1.0 + config.b_true
@@ -249,16 +248,13 @@ def recovery_experiment(
     if replications < 1:
         raise EstimationError("at least one replication required")
     methods = tuple(methods)
-    for method in methods:
-        if method not in METHODS:
-            raise EstimationError(f"unknown method {method!r}")
+    specs = {method: ModelSpec(method=method) for method in methods}  # rejects an unknown method
     if len(set(methods)) != len(methods):
         raise EstimationError(f"methods must be unique, got {methods}")
 
     child_seeds = np.random.SeedSequence(config.seed).generate_state(replications, np.uint64)
     regions = _region_names(config.regions)
     periods = tuple(range(1, config.periods + 1))
-    specs = {method: ModelSpec(method=method) for method in methods}
     estimates = {method: np.empty(replications) for method in methods}
     covered = dict.fromkeys(methods, 0)
     size = max(1, _BLOCK_CELLS // (config.regions * config.periods))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count, repeat
+from itertools import compress, count, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -44,6 +44,13 @@ class CellGrid(Mapping[Cell, float]):
         """Each label's index in ``axis``, -1 where it is not there."""
         index = dict(zip(axis, count()))
         return np.fromiter(map(index.get, labels, repeat(-1)), np.intp, len(labels))
+
+    @staticmethod
+    def used(axis: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
+        """The labels of ``axis`` that ``codes`` (indices into it) name, in
+        axis order, and each code's index into them."""
+        named = np.bincount(codes, minlength=len(axis)) > 0
+        return tuple(compress(axis, named.tolist())), (np.cumsum(named) - 1)[codes]
 
     @classmethod
     def of(cls, regions, periods, column: Mapping[Cell, float]) -> CellGrid:
@@ -378,9 +385,7 @@ def growth_sample_from_logs(
             f"missing structural value {names[k]!r} for region {regions[region[i]]!r} "
             f"at year {prev} (needed by the {prev}->{year} transition)"
         )
-    has_rows = usable.any(axis=1)
-    contributing = tuple(r for r, keep in zip(regions, has_rows.tolist()) if keep)
-    code = (np.cumsum(has_rows) - 1)[region]
+    contributing, code = CellGrid.used(regions, region)
     return GrowthSample(
         rows=GrowthColumns(contributing, code, years[step + 1], block),
         structural_names=names,

@@ -208,7 +208,7 @@ def _solve(
     if n <= k:
         raise EstimationError(f"need more rows than columns, got n={n}, k={k}")
     X, y = X.reshape(-1, n, k), y.reshape(-1, n)
-    work, piv = _factor(X, y, labels)
+    work, piv = _pivoted_qr(X, y, labels)
     R = work[:, :k, :k].transpose(0, 2, 1)  # only its upper triangle is meaningful
     kept = _kept_pivots(R)
     _fail(~np.logical_and.reduce(kept, axis=1), lambda b: RankDeficientError(
@@ -238,17 +238,10 @@ def _rank_fit(X: np.ndarray, y: np.ndarray, labels: Sequence[str]) -> tuple[np.n
     pivots that pass the rank test of :func:`_kept_pivots`, and the
     residual is what Q'y holds past them."""
     n, k = X.shape[-2:]
-    work, _ = _factor(X.reshape(-1, n, k), y.reshape(-1, n), labels)
+    work, _ = _pivoted_qr(X.reshape(-1, n, k), y.reshape(-1, n), labels)
     rank = np.add.reduce(np.logical_and.accumulate(_kept_pivots(work[:, :k, :k]), axis=1), axis=1)
     tail = np.where(np.arange(n) >= rank[:, None], work[:, k], 0.0)
     return rank, np.matmul(tail[:, None, :], tail[:, :, None])[:, 0, 0]
-
-
-def _factor(X: np.ndarray, y: np.ndarray, labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The pivoted QR factors of each member's X (B x n x k), applied to
-    its y (B x n): the work array and pivot order of :func:`_pivoted_qr`."""
-    work = np.concatenate([X.transpose(0, 2, 1), y[:, None, :]], axis=1)
-    return work, _pivoted_qr(work, labels)
 
 
 def _kept_pivots(R: np.ndarray) -> np.ndarray:
@@ -258,14 +251,14 @@ def _kept_pivots(R: np.ndarray) -> np.ndarray:
     return diag > RANK_TOLERANCE * diag[:, :1]
 
 
-def _pivoted_qr(work: np.ndarray, labels: Sequence[str]) -> np.ndarray:
+def _pivoted_qr(X: np.ndarray, y: np.ndarray, labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Householder QR with column pivoting (Businger & Golub, 1965) of
-    each member of a block, in place.
+    each member's X (B x n x k), applied to its y (B x n).
 
-    ``work`` is B x (k + 1) x n: each member's k design columns as rows,
-    then its response. On return work[:, :k, :k] holds R transposed
-    (X[:, piv] = Q R), work[:, k] holds Q'y and the pivot order is
-    returned, B x k. As in LAPACK ``geqp3``, each step pivots on the
+    It returns the work array, B x (k + 1) x n: each member's k design
+    columns as rows, then its y, factored in place so that work[:, :k, :k]
+    holds R transposed (X[:, piv] = Q R) and work[:, k] holds Q'y; and
+    the pivot order, B x k. As in LAPACK ``geqp3``, each step pivots on the
     largest remaining column norm (the first index wins a tie), the norms
     are downdated from the new row of R and recomputed when cancellation
     has eaten half their digits, and the reflectors follow ``dlarfg``.
@@ -275,6 +268,7 @@ def _pivoted_qr(work: np.ndarray, labels: Sequence[str]) -> np.ndarray:
     a NaN or an infinity fails with an EstimationError, and so does one
     with a column whose norm overflows, the error naming its label.
     """
+    work = np.concatenate([X.transpose(0, 2, 1), y[:, None, :]], axis=1)
     B, k = work.shape[0], work.shape[1] - 1
     columns = work[:, :k]
     norms = np.sqrt(np.einsum("bij,bij->bi", columns, columns))  # einsum overflows without a warning
@@ -303,7 +297,7 @@ def _pivoted_qr(work: np.ndarray, labels: Sequence[str]) -> np.ndarray:
         work[:, j, j] = beta  # work[:, j:k, j] is now row j of R
         if j + 2 < k:
             _downdate(work, norms, exact, j)
-    return state[:, :, 2].astype(np.intp)
+    return work, state[:, :, 2].astype(np.intp)
 
 
 def _swap(j: int, p: np.ndarray, *arrays: np.ndarray) -> None:

@@ -6,7 +6,9 @@ fits a single sample. Each member must get the slope, standard error
 and degrees of freedom that ``fit_method`` gives the one-member sample
 built from its replication's log levels, and a block that holds a
 failing replication must report the first failure in replication order,
-as that replication's fit on its own reports it.
+as that replication's fit on its own reports it. Below that, the solver
+must give each member of a block, whatever its pivots, the fit it gives
+that member alone, bit for bit.
 """
 
 import math
@@ -16,8 +18,9 @@ import numpy as np
 import pytest
 
 import convpanel.montecarlo as mc
+import convpanel.regression as regression
 from convpanel.cli import main
-from convpanel.errors import EstimationError, PanelDataError
+from convpanel.errors import EstimationError, PanelDataError, RankDeficientError
 from convpanel.estimators import (
     METHODS,
     ModelSpec,
@@ -183,3 +186,59 @@ def test_one_sample_and_a_block_are_growth_samples(shape):
     sample = GrowthSample(rows, (), ("a",), ("a",), "s", 0, 4)
     assert sample.batched == (len(shape) == 3)
     assert sample.y.shape == shape[:-1]
+
+
+def block_design(rng):
+    """A block of 2-8 members on one n x k design shape (n 8-40, k 3-5):
+    column scales drawn per member, so that members pivot differently,
+    and about a third of the members with a near-dependent column: twice
+    another plus noise 1e-9 times the member's largest scale."""
+    size, n, k = int(rng.integers(2, 9)), int(rng.integers(8, 41)), int(rng.integers(3, 6))
+    X = rng.standard_normal((size, n, k)) * 10.0 ** rng.uniform(-2.0, 2.0, (size, 1, k))
+    for b in np.flatnonzero(rng.random(size) < 1 / 3):
+        c, d = rng.choice(k, 2, replace=False)
+        X[b, :, c] = 2.0 * X[b, :, d] + 1e-9 * np.abs(X[b]).max() * rng.standard_normal(n)
+    return X, rng.standard_normal((size, n)), tuple(f"x{i}" for i in range(k))
+
+
+def member_arrays(fits, b):
+    return [a[b].tobytes() for a in (fits.coefficients, fits.std_errors, fits.residuals, fits.sse, fits.xtx_inv)]
+
+
+def test_block_solve_gives_each_member_its_one_member_fit(monkeypatch):
+    # counts of the per-member paths that a block with k >= 3 runs: swaps
+    # that gather each member's own pivot, and norms recomputed after a
+    # downdate, in members after the first
+    seen = {"gathers": 0, "recomputes": 0}
+    real_swap, real_downdate = regression._swap, regression._downdate
+
+    def swap(j, p, *arrays):
+        seen["gathers"] += bool(np.count_nonzero(p != p[0]))
+        real_swap(j, p, *arrays)
+
+    def downdate(work, norms, exact, j):
+        before = exact[1:].copy()
+        real_downdate(work, norms, exact, j)
+        seen["recomputes"] += int(np.count_nonzero(exact[1:] != before))
+
+    rng = np.random.default_rng(2011)
+    for _ in range(80):  # about 370 members
+        X, y, labels = block_design(rng)
+        singles = [regression._solve(X[b], y[b], labels, "pooled") for b in range(len(X))]
+        monkeypatch.setattr(regression, "_swap", swap)
+        monkeypatch.setattr(regression, "_downdate", downdate)
+        fits = regression._solve(X, y, labels, "pooled")
+        monkeypatch.undo()
+        for b, single in enumerate(singles):
+            assert member_arrays(fits, b) == member_arrays(single, 0)
+    assert seen["gathers"] >= 100 and seen["recomputes"] >= 20, seen
+
+
+def test_block_with_an_exactly_dependent_member_raises_its_error():
+    X, y, labels = block_design(np.random.default_rng(7))
+    X[1, :, 2] = 2.0 * X[1, :, 0]
+    with pytest.raises(RankDeficientError) as single:
+        regression._solve(X[1], y[1], labels, "pooled")
+    with pytest.raises(RankDeficientError) as block:
+        regression._solve(X, y, labels, "pooled")
+    assert str(block.value) == str(single.value)

@@ -58,6 +58,14 @@ def test_input_that_is_a_directory_is_a_data_error(tmp_path, capsys, command):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["fit", "sigma", "lq"])
+def test_input_name_too_long_is_a_data_error(capsys, command):
+    code, out, err = run(capsys, command, "--input", "x" * 300 + ".csv", "--sector", "x")
+    assert (code, out) == (2, "")
+    assert err.startswith("convpanel: data error: cannot read input file ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

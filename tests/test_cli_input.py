@@ -165,6 +165,7 @@ def test_overflowing_dgp_is_one_data_error_line(capsys, command):
     for flags, cell in [
         (("--b-true=-1e-9", "--intercept", "1"), "inf at ('R1', 1)"),
         (("--noise-sd", "1e308"), NOISE_CELL[command]),
+        (("--intercept", "1e308"), "inf at ('R1', 1)"),
     ]:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

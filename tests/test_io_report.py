@@ -150,6 +150,12 @@ class TestReadPanel:
         with pytest.raises(PanelDataError, match="not found"):
             read_panel(tmp_path / "absent.csv", "s")
 
+    @pytest.mark.parametrize("name", ["a\0b.csv", "file/x.csv"])
+    def test_name_that_cannot_exist_is_missing(self, tmp_path, name):
+        (tmp_path / "file").touch()  # a file named as a directory
+        with pytest.raises(PanelDataError, match="not found"):
+            read_panel(tmp_path / name, "s")
+
     def test_national_rows_excluded_from_regions(self, tmp_path):
         path = write_csv(
             tmp_path,
