@@ -7,13 +7,7 @@ location quotients, publication-style report tables and a Monte Carlo
 validation harness.
 """
 
-from .convergence import (
-    ConvergenceReport,
-    annual_rate,
-    classify,
-    half_life,
-    run_convergence,
-)
+from .convergence import annual_rate, classify, half_life, run_methods
 from .errors import ConvpanelError, EstimationError, PanelDataError, RankDeficientError
 from .estimators import (
     ModelSpec,
@@ -42,7 +36,6 @@ from .regression import DesignMatrix, FitResult, durbin_watson, least_squares, t
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceReport",
     "ConvpanelError",
     "DesignMatrix",
     "EstimationError",
@@ -70,7 +63,7 @@ __all__ = [
     "read_panel",
     "recovery_experiment",
     "render_report",
-    "run_convergence",
+    "run_methods",
     "sigma_dispersion",
     "simulate_panel",
     "t_critical",

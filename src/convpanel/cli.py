@@ -4,8 +4,9 @@ Subcommands: ``fit`` (convergence regressions on a CSV panel),
 ``sigma`` (per-year log-productivity dispersion), ``lq`` (location
 quotients), ``simulate`` (write a synthetic panel as CSV) and
 ``recover`` (Monte Carlo estimator validation). Exit codes: 0 success,
-1 usage error (or an unwritable ``--out``), 2 data error, 3 estimation
-error; a warning prints as one ``convpanel: warning:`` line on stderr.
+1 usage error (or an unwritable ``--out``), 2 data error (or too little
+memory for the data), 3 estimation error; a warning prints as one
+``convpanel: warning:`` line on stderr, on every call.
 All randomness takes an explicit --seed; identical invocations print
 identical bytes.
 """
@@ -248,9 +249,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"convpanel: warning: {message}\n"
     try:
-        _COMMANDS[args.command](args)
+        with warnings.catch_warnings():  # a fresh registry, so that every call prints its warnings
+            warnings.simplefilter("default")
+            _COMMANDS[args.command](args)
     except PanelDataError as error:
         print(f"convpanel: data error: {error}", file=sys.stderr)
+        return 2
+    except MemoryError as error:  # a simulated panel too large to allocate, say
+        print(f"convpanel: data error: out of memory: {error}", file=sys.stderr)
         return 2
     except EstimationError as error:
         print(f"convpanel: estimation error: {error}", file=sys.stderr)

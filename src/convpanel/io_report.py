@@ -42,11 +42,22 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .convergence import ConvergenceReport
+from .convergence import (
+    CONVERGENCE_LABEL,
+    CONVERGING,
+    DIVERGING,
+    INCONCLUSIVE,
+    NONE,
+    STARS,
+    annual_rate,
+    classify,
+    half_life,
+)
 from .errors import PanelDataError
-from .estimators import METHODS
+from .estimators import METHODS, ModelSpec
 from .montecarlo import RecoveryStats
-from .panel import Cell, CellGrid, PanelDataset, SigmaSeries
+from .panel import Cell, CellGrid, GrowthSample, PanelDataset, SigmaSeries
+from .regression import FitResult
 
 NATIONAL_REGION = "NATIONAL"
 
@@ -531,15 +542,16 @@ def _estimate_text(estimate: dict) -> str:
     return f"{_fmt3(estimate['value'])}{estimate['stars']} ({_fmt3(estimate['t'])})"
 
 
-def render_report(reports: Sequence[ConvergenceReport], fmt: str = "md") -> str:
-    """Publication-style result table, one row per method.
+def render_report(fitted: tuple[GrowthSample, Sequence[FitResult]], fmt: str = "md") -> str:
+    """Publication-style result table of a growth sample and its fits, as
+    :func:`~convpanel.convergence.run_methods` returns them: one row per fit.
 
     Columns: Method, Const. (when a pooled or GLS row is present), one
     dummy column per panel region (when an LSDV row is present; regions
     absent from a sub-panel render "---"), the slope coefficients, T.C.,
     DW, R2 and G.L. The json format carries full precision.
     """
-    payload = _report_payload(reports)
+    payload = _report_payload(*fitted)
     regions, rows = payload["spec"]["regions"], payload["rows"]
     has_const = any(row["method"] in ("pooled", "gls") for row in rows)
     has_dummies = any(row["method"] == "lsdv" for row in rows)
@@ -570,41 +582,43 @@ def render_report(reports: Sequence[ConvergenceReport], fmt: str = "md") -> str:
     return _render(payload, fmt, header, cells)
 
 
-def _report_payload(reports: Sequence[ConvergenceReport]) -> dict:
-    """The JSON document of a result table: the shared spec and one row
-    per report, in ``METHODS`` order."""
-    if not reports:
-        raise PanelDataError("nothing to render: empty report list")
-    if len({(r.spec.structural, r.sector, r.panel_regions) for r in reports}) > 1:
-        raise PanelDataError("mixed specs: reports disagree on sector or regressors")
-    ordered = sorted(reports, key=lambda report: METHODS.index(report.fit.method))
-    first = ordered[0]
+def _report_payload(sample: GrowthSample, fits: Sequence[FitResult]) -> dict:
+    """The JSON document of a result table: the sample's spec and one row
+    per fit, in ``METHODS`` order, with its convergence reading."""
+    if not fits:
+        raise PanelDataError("nothing to render: empty list of fits")
+    slopes = ModelSpec(structural=sample.structural_names).slope_labels
+    if any(fit.labels[-len(slopes):] != slopes for fit in fits):  # slopes end every fit's labels
+        raise PanelDataError("mixed specs: a fit's slopes disagree with the sample's regressors")
     rows = []
-    for report in ordered:
-        fit = report.fit
+    for fit in sorted(fits, key=lambda fit: METHODS.index(fit.method)):
+        b = fit.coef(CONVERGENCE_LABEL)
+        classes = [classify(t, fit.df_residual) for t in fit.t_stats]
+        significant = classes[fit.labels.index(CONVERGENCE_LABEL)] != NONE
+        direction = CONVERGING if b < 0.0 else DIVERGING if b > 0.0 else INCONCLUSIVE
         row = {
             "method": fit.method,
             "estimates": {
-                label: {"value": value, "t": t, "stars": report.stars(label)}
-                for label, value, t in zip(fit.labels, fit.coefficients, fit.t_stats)
+                label: {"value": value, "t": t, "stars": STARS[kind]}
+                for label, value, t, kind in zip(fit.labels, fit.coefficients, fit.t_stats, classes)
             },
             # an LSDV fit's labels start with its dummies D1..Dk, one per region
-            "dummy_regions": dict(zip(fit.labels, report.regions)) if fit.method == "lsdv" else {},
-            "tc": report.tc,
-            "half_life": report.half_life,
-            "verdict": report.verdict,
+            "dummy_regions": dict(zip(fit.labels, sample.regions)) if fit.method == "lsdv" else {},
+            "tc": annual_rate(b),
+            "half_life": half_life(b),
+            "verdict": direction if significant else INCONCLUSIVE,
             "dw": fit.dw,
             "r2": fit.r_squared,
             "df": fit.df_residual,
-            "rows": report.row_count,
-            "cells": report.source_cell_count,
-            "dropped_transitions": report.dropped_transitions,
+            "rows": sample.row_count,
+            "cells": sample.source_cell_count,
+            "dropped_transitions": sample.dropped_transitions,
         }
         rows.append(row)
     spec = {
-        "sector": first.sector,
-        "structural": list(first.spec.structural),
-        "regions": list(first.panel_regions),
+        "sector": sample.sector,
+        "structural": list(sample.structural_names),
+        "regions": list(sample.panel_regions),
     }
     return {"spec": spec, "rows": rows}
 

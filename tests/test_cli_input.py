@@ -144,6 +144,29 @@ def test_warnings_print_as_one_line_each(tmp_path):
     ]
 
 
+def test_warnings_print_on_every_call_in_one_process(tmp_path):
+    # a warning recorded in a module's registry by the first call must still print in the second
+    path = tmp_path / "single.csv"
+    path.write_text(TWO_SINGLE_ROW_REGIONS, encoding="utf-8")
+    src = str(Path(convpanel.__file__).resolve().parents[1])
+    path_list = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_list)}
+    argv = ["fit", "--input", str(path), "--sector", "x", "--method", "all"]
+    script = (
+        "import sys\nfrom convpanel.cli import main\n"
+        f"for _ in range(2):\n    main({argv!r})\n    print('--', file=sys.stderr)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0
+    lines = [
+        f"convpanel: warning: region {region!r} contributes a single row; its dummy absorbs it"
+        for region in ("c", "e")
+    ]
+    assert result.stderr.splitlines() == (lines + ["--"]) * 2
+
+
 @pytest.mark.parametrize("sector", ["x", "missing"])
 def test_main_leaves_the_warnings_module_as_it_found_it(tmp_path, capsys, sector):
     path = tmp_path / "single.csv"
@@ -174,6 +197,18 @@ def test_overflowing_dgp_is_one_data_error_line(capsys, command):
         assert err == (
             f"convpanel: data error: output per worker must be positive and finite, got {cell}\n"
         )
+
+
+def test_out_of_memory_is_one_data_error_line(capsys, monkeypatch):
+    message = "Unable to allocate 74.5 GiB for an array with shape (1, 100000, 99999) and data type float64"
+
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("convpanel.montecarlo._log_levels", exhausted)
+    code, out, err = run(capsys, "recover", "--seed", "1", "--reps", "2")
+    assert (code, out) == (2, "")
+    assert err == f"convpanel: data error: out of memory: {message}\n"
 
 
 def test_overflowing_national_total_is_one_data_error_line(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -11,14 +12,14 @@ from convpanel.convergence import (
     NONE,
     SIG5,
     SIG10,
+    STARS,
     annual_rate,
     classify,
     half_life,
-    run_convergence,
+    run_methods,
 )
 from convpanel.errors import PanelDataError
-from convpanel.estimators import ModelSpec
-from convpanel.io_report import derive_location_quotients
+from convpanel.io_report import derive_location_quotients, render_report
 from convpanel.montecarlo import SimulationConfig, simulate_panel
 from convpanel.panel import PanelDataset
 
@@ -149,23 +150,29 @@ class TestLocationQuotient:
 
 
 class TestRunConvergence:
+    @staticmethod
+    def fitted(panel, method, structural=()):
+        """The fit by ``method`` and its row of the rendered JSON report."""
+        sample, fits = run_methods(panel, (method,), structural)
+        (row,) = json.loads(render_report((sample, fits), "json"))["rows"]
+        return fits[0], row
+
     def test_pooled_composition(self):
         panel = simulate_panel(SimulationConfig(seed=2, regions=5, periods=9, b_true=-0.3))
-        report = run_convergence(panel, ModelSpec(method="pooled"))
-        assert report.fit.df_residual == 38
-        assert report.tc == pytest.approx(math.log1p(report.b), abs=1e-15)
-        assert report.row_count == 40
-        assert report.source_cell_count == 45
+        fit, row = self.fitted(panel, "pooled")
+        assert fit.df_residual == 38
+        assert row["tc"] == pytest.approx(math.log1p(fit.coef("Coef.1")), abs=1e-15)
+        assert row["rows"] == 40
+        assert row["cells"] == 45
 
     def test_gls_collapse_matches_pooled(self):
         # equal region effects make the between variance degenerate
         panel = simulate_panel(
             SimulationConfig(seed=4, regions=5, periods=9, b_true=-0.3, region_effects=0.0)
         )
-        gls = run_convergence(panel, ModelSpec(method="gls"))
-        pooled = run_convergence(panel, ModelSpec(method="pooled"))
-        if "sigma2_u_truncated" in gls.fit.flags:
-            assert gls.fit.coefficients == pytest.approx(pooled.fit.coefficients, abs=1e-10)
+        _, (gls, pooled) = run_methods(panel, ("gls", "pooled"))
+        if "sigma2_u_truncated" in gls.flags:
+            assert gls.coefficients == pytest.approx(pooled.coefficients, abs=1e-10)
 
     def test_conditional_df(self):
         names = ("capital_output_ratio", "goods_flow_output_ratio", "location_quotient")
@@ -174,8 +181,8 @@ class TestRunConvergence:
             years=range(1995, 2000),
             structural_names=names,
         )
-        report = run_convergence(panel, ModelSpec(method="pooled", structural=names))
-        assert report.fit.df_residual == 15
+        _, (fit,) = run_methods(panel, ("pooled",), names)
+        assert fit.df_residual == 15
 
     def test_verdict_never_converging_for_positive_b(self):
         # diverging panel: productivity gaps widen deterministically
@@ -188,21 +195,21 @@ class TestRunConvergence:
         from convpanel.panel import PanelDataset
 
         panel = PanelDataset(("a", "b", "c"), tuple(range(2000, 2006)), "x", values)
-        report = run_convergence(panel, ModelSpec(method="pooled"))
-        assert report.b > 0.0
-        assert report.verdict in (DIVERGING, INCONCLUSIVE)
+        fit, row = self.fitted(panel, "pooled")
+        assert fit.coef("Coef.1") > 0.0
+        assert row["verdict"] in (DIVERGING, INCONCLUSIVE)
 
     def test_half_life_present_only_when_converging_range(self):
         panel = simulate_panel(SimulationConfig(seed=6, regions=5, periods=9, b_true=-0.5))
-        report = run_convergence(panel, ModelSpec(method="pooled"))
-        if -1.0 < report.b < 0.0:
-            assert report.half_life == pytest.approx(
-                math.log(2.0) / (-math.log1p(report.b)), rel=1e-12
-            )
+        fit, row = self.fitted(panel, "pooled")
+        b = fit.coef("Coef.1")
+        if -1.0 < b < 0.0:
+            assert row["half_life"] == pytest.approx(math.log(2.0) / (-math.log1p(b)), rel=1e-12)
 
     def test_significance_covers_every_label(self):
         panel = simulate_panel(SimulationConfig(seed=8, regions=5, periods=9, b_true=-0.3))
-        report = run_convergence(panel, ModelSpec(method="lsdv"))
-        assert set(report.significance) == set(report.fit.labels)
-        assert all(v in (SIG5, SIG10, NONE) for v in report.significance.values())
-        assert report.verdict in (CONVERGING, DIVERGING, INCONCLUSIVE)
+        fit, row = self.fitted(panel, "lsdv")
+        assert set(row["estimates"]) == set(fit.labels)
+        stars = [STARS[kind] for kind in (SIG5, SIG10, NONE)]
+        assert all(entry["stars"] in stars for entry in row["estimates"].values())
+        assert row["verdict"] in (CONVERGING, DIVERGING, INCONCLUSIVE)

@@ -5,9 +5,8 @@ import re
 
 import pytest
 
-from convpanel.convergence import run_convergence
+from convpanel.convergence import run_methods
 from convpanel.errors import PanelDataError
-from convpanel.estimators import ModelSpec
 from convpanel.io_report import (
     derive_location_quotients,
     location_quotients_from_rows,
@@ -340,13 +339,12 @@ class TestLocationQuotients:
 
 
 class TestRenderReport:
-    def reports(self, methods=("pooled", "lsdv", "gls"), seed=1):
+    def fitted(self, methods=("pooled", "lsdv", "gls"), seed=1):
         panel = simulate_panel(SimulationConfig(seed=seed, regions=5, periods=9, b_true=-0.3))
-        return [run_convergence(panel, ModelSpec(method=m)) for m in methods]
+        return run_methods(panel, methods)
 
     def test_method_order_and_layout(self):
-        reports = self.reports(methods=("gls", "pooled", "lsdv"))
-        text = render_report(reports, "md")
+        text = render_report(self.fitted(methods=("gls", "pooled", "lsdv")), "md")
         lines = text.splitlines()
         assert lines[0].startswith("| Method | Const. | D1 | D2 | D3 | D4 | D5 | Coef.1 |")
         assert lines[2].startswith("| Pooling |")
@@ -354,21 +352,20 @@ class TestRenderReport:
         assert lines[4].startswith("| GLS |")
 
     def test_pooled_only_has_no_dummy_columns(self):
-        text = render_report(self.reports(methods=("pooled",)), "md")
+        text = render_report(self.fitted(methods=("pooled",)), "md")
         assert "D1" not in text
         assert "Const." in text
 
     def test_three_decimals_and_stars(self):
-        reports = self.reports()
-        text = render_report(reports, "md")
-        pooled = reports[0]
-        b3 = f"{pooled.b:.3f}"
+        fitted = self.fitted()
+        text = render_report(fitted, "md")
+        pooled = fitted[1][0]
+        b3 = f"{pooled.coef('Coef.1'):.3f}"
         assert b3 in text
 
     def test_estimate_cell_formats_value_and_t(self):
         import numpy as np
 
-        from convpanel.convergence import report_from_fit
         from convpanel.panel import GrowthColumns, GrowthSample
         from convpanel.regression import FitResult
 
@@ -390,17 +387,16 @@ class TestRenderReport:
             rows=no_rows, structural_names=(), regions=("a",), panel_regions=("a",),
             sector="s", dropped_transitions=0, source_cell_count=45,
         )
-        report = report_from_fit(fit, ModelSpec(method="pooled"), sample)
         # insignificant at df=38: no star on either label
-        header, row = (line.split("\t") for line in render_report([report], "tsv").splitlines())
+        header, row = (line.split("\t") for line in render_report((sample, [fit]), "tsv").splitlines())
         cells = dict(zip(header, row))
         assert cells["Coef.1"] == "-0.063 (-1.163)"
         assert cells["Const."] == "0.558 (1.200)"
 
     def test_tsv_and_md_agree_on_cells(self):
-        reports = self.reports()
-        md = render_report(reports, "md")
-        tsv = render_report(reports, "tsv")
+        fitted = self.fitted()
+        md = render_report(fitted, "md")
+        tsv = render_report(fitted, "tsv")
         md_cells = [
             [c.strip() for c in line.strip("|").split("|")]
             for line in md.splitlines()
@@ -410,8 +406,7 @@ class TestRenderReport:
         assert md_cells == tsv_cells
 
     def test_json_schema(self):
-        reports = self.reports()
-        payload = json.loads(render_report(reports, "json"))
+        payload = json.loads(render_report(self.fitted(), "json"))
         assert [row["method"] for row in payload["rows"]] == ["pooled", "lsdv", "gls"]
         row = payload["rows"][0]
         assert set(row["estimates"]) == {"Const.", "Coef.1"}
@@ -429,31 +424,28 @@ class TestRenderReport:
                 values[(region, year)] = 100.0 * math.exp(0.01 * hash((region, year)) % 7)
         values[("e", 2000)] = 50.0  # isolated cell, no transition
         panel = PanelDataset(("a", "b", "c", "d", "e"), tuple(range(2000, 2004)), "s", values)
-        reports = [run_convergence(panel, ModelSpec(method=m)) for m in ("pooled", "lsdv")]
-        text = render_report(reports, "md")
+        text = render_report(run_methods(panel, ("pooled", "lsdv")), "md")
         lsdv_line = [line for line in text.splitlines() if line.startswith("| LSDV")][0]
         assert "---" in lsdv_line
 
     def test_mixed_specs_rejected(self):
         panel = make_panel(structural_names=("capital_output_ratio",))
-        conditional = run_convergence(
-            panel, ModelSpec(method="pooled", structural=("capital_output_ratio",))
-        )
-        absolute = self.reports(methods=("pooled",))[0]
+        _, (conditional,) = run_methods(panel, ("pooled",), ("capital_output_ratio",))
+        sample, (absolute,) = self.fitted(methods=("pooled",))
         with pytest.raises(PanelDataError, match="mixed specs"):
-            render_report([absolute, conditional], "md")
+            render_report((sample, [absolute, conditional]), "md")
 
     def test_empty_report_list_rejected(self):
         with pytest.raises(PanelDataError, match="empty"):
-            render_report([], "md")
+            render_report((self.fitted()[0], []), "md")
 
     def test_render_deterministic(self):
-        reports = self.reports()
-        json_once = render_report(reports, "json")
-        json_twice = render_report(reports, "json")
+        fitted = self.fitted()
+        json_once = render_report(fitted, "json")
+        json_twice = render_report(fitted, "json")
         assert json_once == json_twice
         parsed = json.loads(json_once)
-        assert render_report(reports, "md") == render_report(reports, "md")
+        assert render_report(fitted, "md") == render_report(fitted, "md")
         assert parsed == json.loads(json_twice)
 
     def test_rounding_half_away_from_zero(self):
@@ -470,8 +462,9 @@ class TestRenderReport:
         # the printed rate matches log1p of the printed coefficient only up
         # to the double-rounding tolerance; full precision lives in json
         for seed in range(5):
-            for report in self.reports(seed=seed):
-                text = render_report([report], "tsv")
+            sample, fits = self.fitted(seed=seed)
+            for fit in fits:
+                text = render_report((sample, [fit]), "tsv")
                 cells = text.splitlines()[1].split("\t")
                 header = text.splitlines()[0].split("\t")
                 b_rendered = float(cells[header.index("Coef.1")].split(" ")[0].rstrip("*"))

@@ -26,9 +26,7 @@ import numpy as np
 import pytest
 
 from convpanel.cli import main
-from convpanel.convergence import report_from_fit
 from convpanel.errors import PanelDataError
-from convpanel.estimators import ModelSpec
 from convpanel.io_report import (
     NATIONAL_REGION,
     NUMERIC_COLUMNS,
@@ -568,8 +566,7 @@ def test_non_finite_values_render_as_null():
         rows=no_rows, structural_names=(), regions=("a", "b"), panel_regions=("a", "b"),
         sector="s", dropped_transitions=0, source_cell_count=14,
     )
-    report = report_from_fit(fit, ModelSpec(method="pooled"), sample)
-    payload = json.loads(render_report([report], "json"), parse_constant=strict)
+    payload = json.loads(render_report((sample, [fit]), "json"), parse_constant=strict)
     estimates = payload["rows"][0]["estimates"]
     assert estimates["Const."] == {"value": 0.0, "t": None, "stars": ""}
     assert estimates["Coef.1"] == {"value": -0.5, "t": None, "stars": "*"}
