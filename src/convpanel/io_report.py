@@ -9,15 +9,15 @@ UTF-8 (a byte-order mark is skipped), comma delimited, decimal point;
 numeric cells must be finite. One ``str.split`` of a file without quotes,
 carriage returns, blank lines or ragged rows, else one ``csv.reader`` pass,
 reads the whole file, every sector, into columns and integer region, year
-and sector codes, validated column by column; both give the same rows and
-errors, and the first bad row, by line, is reported. The split's line check
-is one sum of the comma mask over each line. A numeric column without a
-blank cell is parsed straight into its row of floats, the columns with
-blank cells share one mask and one float map, and an all-blank column is
-not parsed; a panel lays out only the numeric columns that hold a value
-somewhere in the file. A pseudo-region ``NATIONAL`` may carry national
-employment totals for location-quotient construction; it never enters
-estimation.
+and sector codes, screened column by column; both give the same rows and
+errors, and a file that fails is walked to its first bad row, by line. The
+split's line check is one sum of the comma mask over each line. A numeric
+column without a blank cell is parsed straight into its row of floats, the
+columns with blank cells share one mask and one float map, and an
+all-blank column is not parsed; a panel lays out only the numeric columns
+that hold a value somewhere in the file. A pseudo-region ``NATIONAL``
+may carry national employment totals for location-quotient construction;
+it never enters estimation.
 Each renderer builds one JSON payload whose ``rows`` the md and tsv
 formats print as table rows, one line each: a cell's TAB, line break or
 backslash is written as linear TSV's ``\\t``, ``\\n``, ``\\r`` and ``\\\\``,
@@ -104,13 +104,13 @@ def read_rows(source: str | Path | TextIO | Iterator[str]) -> PanelRows:
     line over ``csv.field_size_limit()``, and the header's comma count on
     every line, is one ``str.split`` of its text; any other, and an open
     stream, one ``csv.reader`` pass. Both lay the rows' fields end to end
-    in one list and give the same rows and errors; each check runs over
-    whole columns; a named file that is not UTF-8 is read as a stream that
-    fails at its first bad byte. A numeric column without a blank cell is
-    parsed into its row with one float map; the columns with blank cells
-    share one mask and one float map; an all-blank column is left NaN
-    unparsed. A file with several bad rows is reported by the first, with
-    the message of the first check it fails, in the order of ``_reject_row``.
+    in one list and give the same rows and errors; a named file that is not
+    UTF-8 is read as a stream that fails at its first bad byte. A numeric
+    column without a blank cell is parsed into its row with one float map;
+    the columns with blank cells share one mask and one float map; an
+    all-blank column is left NaN unparsed. Whole columns only screen the
+    rows; a file that fails is walked once in file order to its first bad
+    row, reported by the first check it fails, in ``_reject_row``'s order.
 
     Raises
     ------
@@ -192,7 +192,8 @@ def _split(raw: bytes, text: str) -> tuple[list[str], list[str], range] | None:
 
 def _columns(header: list[str], fields: list[str], lines: Sequence[int]) -> PanelRows:
     """Validate CSV rows, given as their fields end to end, each as wide as
-    the header, and the lines of the header and each row; store them as columns."""
+    the header, and the lines of the header and each row; store them as
+    columns. A file that fails the screen is walked to its first bad row."""
     header = [header[0].removeprefix("\ufeff"), *header[1:]] if header else header
     missing = [column for column in REQUIRED_COLUMNS if column not in header]
     if missing:
@@ -207,17 +208,14 @@ def _columns(header: list[str], fields: list[str], lines: Sequence[int]) -> Pane
     labels, codes = zip(*map(_coded, keyed, (str.strip, int, str.strip)))
     codes = np.stack(codes)
     numbers, failing = _numbers([cells(name) for name in NUMERIC_COLUMNS])
-    # the first row with each key; numbering the cells first keeps keys below rows**2. A bad
-    # row, coded -1, may share a key, but it is reported first, and not for its key.
-    cell = np.unique(codes[0] * len(labels[1]) + codes[1], return_inverse=True)[1]
-    key = cell * len(labels[2]) + codes[2]
-    _, head, key = np.unique(key, return_index=True, return_inverse=True)
-    seen = head[key]
-    bad = (codes < 0).any(axis=0) | (seen != np.arange(n))
-    row = min([*np.flatnonzero(bad)[:1].tolist(), *failing])  # the first bad row
-    if row < n:
-        earlier = line[seen[row]] if seen[row] != row else None
-        _reject_row({name: cells(name)[row] for name in COLUMNS}, line[row], earlier)
+    suspect = (codes < 0).any(axis=0) | failing
+    ordered = codes.take(np.lexsort(codes), axis=1)  # equal keys are adjacent
+    if suspect.any() or (ordered[:, 1:] == ordered[:, :-1]).all(axis=0).any():
+        first_seen: dict[tuple[int, ...], int] = {}
+        for row, (key, at, suspected) in enumerate(zip(zip(*codes.tolist()), line, suspect.tolist())):
+            if suspected or key in first_seen:
+                _reject_row({name: cells(name)[row] for name in COLUMNS}, at, first_seen.get(key))
+            first_seen.setdefault(key, at)
     return PanelRows(numbers, labels, codes)
 
 
@@ -257,12 +255,12 @@ def _csv_cells(cells: list[str]) -> list[str]:
     return ["_" if not cell.isascii() or "_" in cell else cell for cell in map(str.strip, cells)]
 
 
-def _numbers(columns: list[list[str]]) -> tuple[np.ndarray, list[int]]:
+def _numbers(columns: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
     """The cells of ``NUMERIC_COLUMNS`` as a float array, NaN where a cell
-    is blank, and the index of each column's first cell that is not a
-    finite (in ``POSITIVE_COLUMNS``, positive) number, or its length. A
-    column without a blank cell is parsed straight into its row; the
-    columns with some blank cells share one mask and one float map."""
+    is blank, and a mask of the rows that hold a cell that is not a finite
+    (in ``POSITIVE_COLUMNS``, positive) number. A column without a blank
+    cell is parsed straight into its row; the columns with some blank
+    cells share one mask and one float map."""
     n = len(columns[0])
     values = np.full((len(columns), n), math.nan)
     filled = np.zeros((len(columns), n), dtype=bool)
@@ -275,8 +273,7 @@ def _numbers(columns: list[list[str]]) -> tuple[np.ndarray, list[int]]:
     for i, cells in cleaned.items():  # the columns left have no blank cell
         values[i], filled[i] = _parsed(float, cells, math.nan), True
     positive = np.array([[name in POSITIVE_COLUMNS] for name in NUMERIC_COLUMNS])
-    failing = filled & ~(np.isfinite(values) & ((values > 0.0) | ~positive))
-    return values, [int(row.argmax()) if row.any() else n for row in failing]
+    return values, (filled & ~(np.isfinite(values) & ((values > 0.0) | ~positive))).any(axis=0)
 
 
 def _reject_row(cells: Mapping[str, str], line: int, first_seen: int | None) -> None:

@@ -29,6 +29,7 @@ from typing import NoReturn, Sequence
 
 import numpy as np
 
+from .convergence import CONVERGENCE_LABEL
 from .errors import EstimationError, PanelDataError
 from .estimators import METHODS, ModelSpec
 from .estimators import fit_method as _fit  # the loop's seam: tests patch in a failing fit
@@ -270,7 +271,7 @@ def recovery_experiment(
             except Exception as error:
                 _replay(config, seeds, first, methods, error)
         for method, fits in block.items():
-            column = fits.labels.index("Coef.1")
+            column = fits.labels.index(CONVERGENCE_LABEL)
             b_hat = fits.coefficients[:, column]
             estimates[method][first : first + len(b_hat)] = b_hat
             half_width = t_critical(fits.df_residual, 0.05) * fits.std_errors[:, column]

@@ -16,6 +16,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -77,6 +78,33 @@ def test_output_matches_golden(name):
         assert _close(json.loads(actual), json.loads(expected))
     else:
         assert actual == expected
+
+
+ESTIMATE = r"(-?\d+\.\d{3})(\**) \((-?\d+\.\d{3})\)"  # a table cell: value, stars and t
+
+
+def test_lsdv_dummy_columns_agree_across_formats():
+    # md and tsv number D1..DR over the panel's regions, JSON D1..Dk over the
+    # regions with transitions only; dummy_regions names each JSON label's region
+    argv = ["fit", *STRUCTURAL, "--method", "lsdv", "--format"]
+    payload = json.loads(_stdout([*argv, "json"]))
+    regions, (row,) = payload["spec"]["regions"], payload["rows"]
+    by_region = {region: row["estimates"][label] for label, region in row["dummy_regions"].items()}
+    assert regions[0] == "Acores" and len(by_region) == len(regions) - 1  # Acores has none
+    tsv = [line.split("\t") for line in _stdout([*argv, "tsv"]).splitlines()]
+    md_lines = _stdout([*argv, "md"]).splitlines()
+    md = [[cell.strip() for cell in line.strip("|").split("|")] for line in md_lines]
+    for header, cells in (tsv, md[::2]):  # md's header and its one row, not the rule between
+        shown = dict(zip(header, cells))
+        dummies = [name for name in header if re.fullmatch(r"D\d+", name)]
+        assert dummies == [f"D{i}" for i in range(1, len(regions) + 1)]
+        assert shown["D1"] == "---"
+        for i, region in enumerate(regions[1:], 2):
+            value, stars, t = re.fullmatch(ESTIMATE, shown[f"D{i}"]).groups()
+            estimate = by_region[region]
+            assert math.isclose(float(value), estimate["value"], abs_tol=5e-4), region
+            assert math.isclose(float(t), estimate["t"], abs_tol=5e-4), region
+            assert stars == estimate["stars"], region
 
 
 def test_close_compares_floats_relatively():

@@ -15,6 +15,7 @@ must fall back to the loop.
 
 import csv
 import gc
+import io
 import random
 
 import pytest
@@ -246,6 +247,26 @@ def test_a_bad_row_before_undecodable_text_is_reported_first(tmp_path):
     # a quoted name that spans the bad byte's line is not read as a row cut short
     path.write_bytes(b'region,year,sector,output_per_worker\na,2000,s,1\n"b\nS\xe3o",2000,s,1\n')
     assert outcome(read_rows, path).startswith("error: cannot read CSV after line 2: 'utf-8' codec")
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        # line 4's cells are clean, but its key repeats line 2's; line 5 is bad in itself
+        (["A,2001,s,1.0", "A,2002,s,1.1", "A,2001,s,1.2", "B,2001,s,x"],
+         "line 4: duplicate (region, year, sector) key ('A', 2001, 's'), first seen on line 2"),
+        (["A,2001,s,1.0", "A,2002,s,1.1", "B,2001,s,x", "A,2001,s,1.2"],
+         "line 4: cannot parse output_per_worker value 'x'"),
+    ],
+    ids=["repeated key first", "unparsable cell first"],
+)
+def test_a_repeated_key_and_a_bad_cell_are_reported_in_file_order(tmp_path, rows, error):
+    text = "\n".join(["region,year,sector,output_per_worker", *rows]) + "\n"
+    path = tmp_path / "panel.csv"
+    path.write_text(text, encoding="utf-8")
+    assert split(path) is not None
+    assert outcome(read_rows, path) == f"error: {error}"
+    assert outcome(read_rows, io.StringIO(text, newline="")) == f"error: {error}"
 
 
 def test_no_collected_object_per_row_from_a_path(tmp_path):
