@@ -327,14 +327,13 @@ def panel_from_rows(
             where = f" up to {end}"
         raise PanelDataError(f"empty selection: no rows for sector {sector!r}{where}")
     (regions, i), (periods, j) = CellGrid.used(regions, region[keep]), CellGrid.used(periods, year[keep])
-    # productivity, and each structural column that holds a value somewhere in the file
-    laid = [0, *(k for k in range(1, len(NUMERIC_COLUMNS)) if not np.isnan(rows.numbers[k]).all())]
-    numbers = rows.numbers[laid][:, keep]
+    numbers = rows.numbers.compress(keep, axis=1)
+    # productivity, and each structural column that holds a value in the selection
+    laid = [0, *(k for k in range(1, len(NUMERIC_COLUMNS)) if not np.isnan(numbers[k]).all())]
     grids = np.full((len(laid), len(regions), len(periods)), math.nan)
-    grids[:, i, j] = numbers
+    grids[:, i, j] = numbers[laid]
     values, *views = (CellGrid(regions, periods, grid) for grid in grids)
-    filled = (~np.isnan(numbers[1:])).any(axis=1).tolist()
-    structural = {NUMERIC_COLUMNS[k]: view for k, view in compress(zip(laid[1:], views), filled)}
+    structural = {NUMERIC_COLUMNS[k]: view for k, view in zip(laid[1:], views)}
     return PanelDataset(regions, periods, sector, values, structural)
 
 

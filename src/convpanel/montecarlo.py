@@ -33,7 +33,7 @@ from .convergence import CONVERGENCE_LABEL
 from .errors import EstimationError, PanelDataError
 from .estimators import METHODS, ModelSpec
 from .estimators import fit_method as _fit  # the loop's seam: tests patch in a failing fit
-from .panel import CellGrid, PanelDataset, growth_sample_from_logs
+from .panel import CellGrid, GrowthSample, PanelDataset, growth_sample_from_logs
 from .regression import t_critical
 
 # Log-level cells (replications x regions x periods) in one block of
@@ -115,9 +115,11 @@ class RecoveryStats:
                 raise EstimationError(f"coverage for {method} outside [0, 1]: {value}")
 
 
-def _region_names(count: int) -> tuple[str, ...]:
-    width = len(str(count))
-    return tuple(f"R{i + 1:0{width}d}" for i in range(count))
+def _axes(config: SimulationConfig) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """A simulated panel's region names R1..Rn (zero-padded) and years 1..periods."""
+    width = len(str(config.regions))
+    regions = tuple(f"R{i + 1:0{width}d}" for i in range(config.regions))
+    return regions, tuple(range(1, config.periods + 1))
 
 
 def simulate_panel(config: SimulationConfig) -> PanelDataset:
@@ -126,25 +128,20 @@ def simulate_panel(config: SimulationConfig) -> PanelDataset:
     Years run 1..periods; levels are exponentiated log values, so every
     cell is positive and the panel is balanced.
     """
-    regions = _region_names(config.regions)
-    log_p = _log_levels(config, config.seed)  # the one-member draw
-    periods = tuple(range(1, config.periods + 1))
-    levels = CellGrid(regions, periods, _checked_levels(log_p, regions))
-    return PanelDataset(regions, periods, "simulated", levels)
+    regions, periods = _axes(config)
+    levels = _checked_levels(_log_levels(config, [config.seed])[0], regions)
+    return PanelDataset(regions, periods, "simulated", CellGrid(regions, periods, levels))
 
 
-def _log_levels(config: SimulationConfig, seeds) -> np.ndarray:
+def _log_levels(config: SimulationConfig, seeds: Sequence[int]) -> np.ndarray:
     """The regions x periods log levels drawn from each of ``seeds`` (in
-    place of ``config.seed``), stacked on a leading member axis; a single
-    seed gives a single grid.
+    place of ``config.seed``), stacked on a leading member axis.
 
     Each seed has its own Philox generator, which draws the region
     effects, the initial levels and the shocks, in that order. The AR
     recursion then runs once over the stack, elementwise, so each
     member's levels are those it would have on its own.
     """
-    single = np.ndim(seeds) == 0
-    seeds = np.atleast_1d(seeds).tolist()
     r, t = config.regions, config.periods
     if isinstance(config.region_effects, tuple):
         effects = np.tile(config.region_effects, (len(seeds), 1))
@@ -173,8 +170,7 @@ def _log_levels(config: SimulationConfig, seeds) -> np.ndarray:
             np.multiply(previous, persistence, out=year)
             year += drift
             year += shock
-    log_p = by_year.transpose(1, 2, 0)
-    return log_p[0] if single else log_p
+    return by_year.transpose(1, 2, 0)
 
 
 def _checked_levels(log_p: np.ndarray, regions: tuple[str, ...]) -> np.ndarray:
@@ -200,22 +196,25 @@ def _checked_levels(log_p: np.ndarray, regions: tuple[str, ...]) -> np.ndarray:
     )
 
 
+def _sample(config: SimulationConfig, log_p: np.ndarray) -> GrowthSample:
+    """The growth sample of ``log_p`` (one grid or a block), after its level check."""
+    regions, periods = _axes(config)
+    _checked_levels(log_p, regions)
+    return growth_sample_from_logs(log_p, regions, periods, "simulated")
+
+
 def _replay(
-    config: SimulationConfig, seeds, first: int, methods: tuple[str, ...], error: Exception
+    config: SimulationConfig, seeds: np.ndarray, first: int, specs: dict[str, ModelSpec], error: Exception
 ) -> NoReturn:
     """Rerun a block of replications that failed with ``error``, one at a
     time from replication ``first`` on, and raise the first failure: a
     level check error as it is, a fit's error with its replication and
     method. A block whose replications all pass alone fails as a block."""
-    regions = _region_names(config.regions)
-    periods = tuple(range(1, config.periods + 1))
     for i, seed in enumerate(seeds.tolist(), first):
-        log_p = _log_levels(config, seed)
-        _checked_levels(log_p, regions)
-        sample = growth_sample_from_logs(log_p, regions, periods, "simulated")
-        for method in methods:
+        sample = _sample(config, _log_levels(config, [seed])[0])
+        for method, spec in specs.items():
             try:
-                _fit(method, sample, ModelSpec(method=method))
+                _fit(method, sample, spec)
             except Exception as failure:
                 raise EstimationError(f"replication {i} failed for {method}: {failure}") from failure
     last = first + len(seeds) - 1
@@ -254,8 +253,6 @@ def recovery_experiment(
         raise EstimationError(f"methods must be unique, got {methods}")
 
     child_seeds = np.random.SeedSequence(config.seed).generate_state(replications, np.uint64)
-    regions = _region_names(config.regions)
-    periods = tuple(range(1, config.periods + 1))
     estimates = {method: np.empty(replications) for method in methods}
     covered = dict.fromkeys(methods, 0)
     size = max(1, _BLOCK_CELLS // (config.regions * config.periods))
@@ -265,11 +262,10 @@ def recovery_experiment(
         # a failing replication raises its error, not numpy's warnings
         with np.errstate(all="ignore"):
             try:
-                _checked_levels(log_p, regions)
-                sample = growth_sample_from_logs(log_p, regions, periods, "simulated")
-                block = {method: _fit(method, sample, specs[method]) for method in methods}
+                sample = _sample(config, log_p)
+                block = {method: _fit(method, sample, spec) for method, spec in specs.items()}
             except Exception as error:
-                _replay(config, seeds, first, methods, error)
+                _replay(config, seeds, first, specs, error)
         for method, fits in block.items():
             column = fits.labels.index(CONVERGENCE_LABEL)
             b_hat = fits.coefficients[:, column]

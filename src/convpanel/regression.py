@@ -26,8 +26,8 @@ from .errors import EstimationError, RankDeficientError
 # Relative pivot tolerance for declaring a design rank deficient.
 RANK_TOLERANCE = 1e-10
 
-# LAPACK's threshold for recomputing a downdated column norm: sqrt(eps).
-_NORM_RECOMPUTE = math.sqrt(np.finfo(float).eps)
+# dgeqp3's threshold TOL3Z for recomputing a downdated column norm: sqrt(2**-53).
+_NORM_RECOMPUTE = math.sqrt(np.finfo(float).eps / 2)
 
 
 @dataclass(frozen=True)
@@ -324,10 +324,11 @@ def _dlarfg(alpha: float, below: float) -> tuple[float, float, float]:
     below alpha there is no reflection."""
     if not below > 0.0:
         return alpha, 0.0, 0.0
-    # dlapy2's sqrt(alpha^2 + below^2), not math.hypot: on an exact
-    # dependency LAPACK's rounding decides which column is flagged.
+    # dlapy2's sqrt(alpha^2 + below^2), its ratio squared by a product (not pow), not math.hypot:
+    # on an exact dependency LAPACK's rounding decides which column is flagged.
     big, small = max(abs(alpha), below), min(abs(alpha), below)
-    beta = -math.copysign(big * math.sqrt(1.0 + (small / big) ** 2), alpha)
+    ratio = small / big
+    beta = -math.copysign(big * math.sqrt(1.0 + ratio * ratio), alpha)
     return beta, 1.0 / (alpha - beta), (beta - alpha) / beta
 
 
@@ -344,7 +345,8 @@ def _downdate(work: np.ndarray, norms: np.ndarray, exact: np.ndarray, j: int) ->
                 continue
             q = r / norm
             ratio = max(0.0, 1.0 - q * q)
-            if ratio * (norm / last) * (norm / last) <= _NORM_RECOMPUTE:
+            shrink = norm / last
+            if ratio * (shrink * shrink) <= _NORM_RECOMPUTE:  # dlaqp2's TEMP*(VN1/VN2)**2
                 tail = work[b, col, j + 1 :]
                 norms[b, col] = exact[b, col] = math.sqrt(tail @ tail)
             else:

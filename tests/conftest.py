@@ -63,9 +63,9 @@ def failing_replications(monkeypatch):
         fits = {seeds[i]: method for i, method in dict(fits).items()}
 
         def draw(config, chosen):
-            drawn[:] = np.atleast_1d(chosen).tolist()
+            drawn[:] = np.asarray(chosen).tolist()
             log_p = real_levels(config, chosen)
-            for member, grid in zip(drawn, log_p.reshape((-1,) + log_p.shape[-2:])):
+            for member, grid in zip(drawn, log_p):
                 if member in levels:
                     grid[...] = levels[member]
             return log_p

@@ -45,8 +45,7 @@ CASES = {
 
 
 def one_member_sample(config, seed):
-    regions, periods = mc._region_names(config.regions), tuple(range(1, config.periods + 1))
-    return growth_sample_from_logs(mc._log_levels(config, seed), regions, periods, "simulated")
+    return growth_sample_from_logs(mc._log_levels(config, [seed])[0], *mc._axes(config), "simulated")
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -112,7 +111,7 @@ def test_an_earlier_replication_fails_first_whatever_its_method(failing_replicat
 def test_a_failing_member_fails_as_its_one_member_fit(failing_replications):
     failing_replications(1, 8, levels={3: 1.0})  # every level equal: nothing varies
     config = SimulationConfig(seed=1, regions=5, periods=9, b_true=-0.3)
-    flat = growth_sample_from_logs(np.ones((5, 9)), mc._region_names(5), tuple(range(1, 10)), "simulated")
+    flat = growth_sample_from_logs(np.ones((5, 9)), *mc._axes(config), "simulated")
     with pytest.raises(EstimationError) as one:
         fit_method("pooled", flat, ModelSpec("pooled"))
     with warnings.catch_warnings():

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convpanel
+import convpanel.regression as regression
 from convpanel.errors import EstimationError, RankDeficientError
 from convpanel.regression import DesignMatrix, durbin_watson, least_squares, t_critical
 
@@ -348,3 +349,25 @@ def test_oracle_equivalence_batch():
         fit = least_squares(design(X), y)
         for b_hat, b_star in zip(fit.coefficients, oracle):
             assert abs(b_hat - float(b_star)) <= 1e-10 * max(1.0, abs(float(b_star)))
+
+
+def test_reflector_squares_the_ratio_as_dlapy2_does():
+    # LAPACK dlarfg gives beta 11.7048697846309 for this column; squaring
+    # the ratio with pow (Python's ``** 2``) rounds beta one bit up
+    beta, scale, tau = regression._dlarfg(-7.9277334005101885, 8.61133089630172)
+    assert (beta, scale, tau) == (11.7048697846309, -0.05093568033590415, 1.6773021440118634)
+
+
+def test_norm_downdate_recomputes_below_lapacks_threshold_only():
+    # column 1 keeps 1.2e-8 of its squared norm, above dgeqp3's threshold
+    # sqrt(2**-53) = 1.05e-8 but below sqrt(2**-52) = 1.49e-8; column 2
+    # keeps 0.9e-8 and is recomputed from its entries below row 0
+    work = np.zeros((1, 4, 3))
+    work[0, 1] = [math.sqrt(1.0 - 1.2e-8), 3.0, 4.0]
+    work[0, 2] = [math.sqrt(1.0 - 0.9e-8), 6.0, 8.0]
+    norms, exact = np.ones((1, 4)), np.ones((1, 4))
+    regression._downdate(work, norms, exact, 0)
+    q = work[0, 1, 0]
+    assert 1.05e-8 < 1.0 - q * q < 1.49e-8
+    assert norms[0, 1] == math.sqrt(1.0 - q * q) and exact[0, 1] == 1.0
+    assert norms[0, 2] == exact[0, 2] == 10.0

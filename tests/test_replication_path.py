@@ -104,10 +104,7 @@ def test_replication_sample_is_the_panel_growth_sample(shape):
     regions, periods = shape
     config = SimulationConfig(seed=11, regions=regions, periods=periods, b_true=-0.4, region_effects=0.1)
     expected = build_growth_sample(simulate_panel(config))
-    log_p = mc._log_levels(config, config.seed)
-    sample = growth_sample_from_logs(
-        log_p, mc._region_names(regions), tuple(range(1, periods + 1)), "simulated"
-    )
+    sample = growth_sample_from_logs(mc._log_levels(config, [config.seed])[0], *mc._axes(config), "simulated")
     for name in ("structural_names", "regions", "panel_regions", "sector", "dropped_transitions",
                  "source_cell_count"):
         assert getattr(sample, name) == getattr(expected, name)
@@ -115,6 +112,15 @@ def test_replication_sample_is_the_panel_growth_sample(shape):
     assert np.array_equal(sample.rows.year, expected.rows.year)
     # the panel's sample goes through exp and log again, so its values may differ in the last bit
     np.testing.assert_allclose(sample.rows.data, expected.rows.data, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("effects", [0.1, (0.2, -0.1, 0.0)])
+def test_simulated_panel_is_the_one_seed_draw(effects):
+    config = SimulationConfig(seed=11, regions=3, periods=6, b_true=-0.4, region_effects=effects)
+    panel = simulate_panel(config)
+    assert (panel.regions, panel.periods) == mc._axes(config) == (("R1", "R2", "R3"), (1, 2, 3, 4, 5, 6))
+    grid = np.exp(mc._log_levels(config, [config.seed])[0])
+    assert panel.values.grid.tobytes() == grid.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -182,13 +188,12 @@ def test_one_fit_per_method_per_block_in_method_order(monkeypatch):
     recovery_experiment(config, 7, methods)
     assert [method for method, _ in calls] == list(methods) * 3
     seeds = np.random.SeedSequence(3).generate_state(7, np.uint64).tolist()
-    regions, periods = mc._region_names(5), tuple(range(1, 10))
     for block, first in enumerate((0, 3, 6)):
         samples = [sample for _, sample in calls[3 * block : 3 * block + 3]]
         assert all(sample is samples[0] for sample in samples)  # the methods of a block share its sample
         # the block's members are its replications, in order
         expected = [
-            growth_sample_from_logs(mc._log_levels(config, seed), regions, periods, "simulated").rows.data
+            growth_sample_from_logs(mc._log_levels(config, [seed])[0], *mc._axes(config), "simulated").rows.data
             for seed in seeds[first : first + 3]
         ]
         assert np.array_equal(samples[0].rows.data, np.stack(expected))
