@@ -34,7 +34,7 @@ from .io_report import (
     render_sigma,
 )
 from .montecarlo import SimulationConfig, recovery_experiment, simulate_panel
-from .panel import sigma_dispersion
+from .panel import PanelDataset, sigma_dispersion
 
 CONDITIONAL_ALIASES = {
     "capital_output": "capital_output_ratio",
@@ -190,27 +190,26 @@ def _simulation_config(args) -> SimulationConfig:
     )
 
 
+def _panel(args, quotients: bool = False) -> PanelDataset:
+    """The ``--sector`` panel of ``--input`` over ``--from``..``--to``,
+    with its location quotients if ``quotients``."""
+    select = location_quotients_from_rows if quotients else panel_from_rows
+    return select(read_rows(args.input), args.sector, args.from_year, args.to_year)
+
+
 def _cmd_fit(args) -> None:
     structural = _conditional_names(args.conditional)
-    rows = read_rows(args.input)
-    if "location_quotient" in structural:
-        panel = location_quotients_from_rows(rows, args.sector, args.from_year, args.to_year)
-    else:
-        panel = panel_from_rows(rows, args.sector, args.from_year, args.to_year)
+    panel = _panel(args, quotients="location_quotient" in structural)
     methods = METHODS if args.method == "all" else (args.method,)
     _emit(render_report(run_methods(panel, methods, structural), args.format), args.out)
 
 
 def _cmd_sigma(args) -> None:
-    rows = read_rows(args.input)
-    panel = panel_from_rows(rows, args.sector, args.from_year, args.to_year)
-    _emit(render_sigma(sigma_dispersion(panel), args.format), args.out)
+    _emit(render_sigma(sigma_dispersion(_panel(args)), args.format), args.out)
 
 
 def _cmd_lq(args) -> None:
-    rows = read_rows(args.input)
-    panel = location_quotients_from_rows(rows, args.sector, args.from_year, args.to_year)
-    _emit(render_location_quotients(panel, args.format), args.out)
+    _emit(render_location_quotients(_panel(args, quotients=True), args.format), args.out)
 
 
 def _cmd_simulate(args) -> None:

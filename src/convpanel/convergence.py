@@ -68,4 +68,4 @@ def run_methods(
     that :func:`~convpanel.io_report.render_report` renders."""
     specs = [ModelSpec(method, structural) for method in methods]
     sample = build_growth_sample(panel, structural)
-    return sample, [fit_method(spec.method, sample, spec) for spec in specs]
+    return sample, [fit_method(sample, spec) for spec in specs]

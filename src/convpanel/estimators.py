@@ -57,14 +57,10 @@ class ModelSpec:
         if len(set(self.structural)) != len(self.structural):
             raise EstimationError("structural regressor names must be unique")
 
-    @property
-    def slope_count(self) -> int:
-        """Number of slope coefficients (lagged level + structural)."""
-        return 1 + len(self.structural)
-
     @cached_property
     def slope_labels(self) -> tuple[str, ...]:
-        return tuple(f"Coef.{i + 1}" for i in range(self.slope_count))
+        """One label per slope: the lagged level, then each structural variable."""
+        return tuple(f"Coef.{i + 1}" for i in range(1 + len(self.structural)))
 
 
 @dataclass(frozen=True)
@@ -310,8 +306,8 @@ def fit_gls_random_effects(
     return _result(sample, _solve(X, y_star, labels, "gls", flags))
 
 
-def fit_method(method: str, sample: GrowthSample, spec: ModelSpec) -> FitResult | _BlockFit:
-    """Fit ``sample`` by ``method``, one of METHODS: the package's one
-    estimator dispatch. A block sample gives its fits with a member axis."""
+def fit_method(sample: GrowthSample, spec: ModelSpec) -> FitResult | _BlockFit:
+    """Fit ``sample`` by ``spec.method``: the package's one estimator
+    dispatch. A block sample gives its fits with a member axis."""
     fitters = {"pooled": fit_pooled, "lsdv": fit_lsdv, "gls": fit_gls_random_effects}
-    return fitters[method](sample, spec)
+    return fitters[spec.method](sample, spec)

@@ -407,25 +407,24 @@ def _quotient_error(sector: str, cell: Cell, *inputs: float) -> PanelDataError:
     as regional sector, national sector, regional total and national
     total employment: both regional counts present, each count
     positive, each regional count at most its national one, then the
-    quotient within the floating-point range."""
+    quotient within the floating-point range. Every message names the cell."""
     region, year = cell
+    where = f"for region {region!r}, year {year}"
     regional_sector, national_sector, regional_total, national_total = inputs
     if math.isnan(regional_sector):
-        return PanelDataError(
-            f"missing employment for region {region!r}, year {year}, sector {sector!r}"
-        )
+        return PanelDataError(f"missing employment {where}, sector {sector!r}")
     if math.isnan(regional_total):
-        return PanelDataError(f"missing total employment for region {region!r}, year {year}")
+        return PanelDataError(f"missing total employment {where}")
     names = ("regional_sector", "national_sector", "regional_total", "national_total")
     for name, value in zip(names, inputs):
         if not value > 0.0:
-            return PanelDataError(f"{name} employment must be positive, got {value!r}")
+            return PanelDataError(f"{name} employment must be positive {where}, got {value!r}")
     if regional_sector > national_sector:
-        return PanelDataError("regional sector employment exceeds the national count")
+        return PanelDataError(f"regional sector employment exceeds the national count {where}")
     if regional_total > national_total:
-        return PanelDataError("regional total employment exceeds the national count")
+        return PanelDataError(f"regional total employment exceeds the national count {where}")
     return PanelDataError(
-        f"location quotient out of floating-point range: regional total "
+        f"location quotient out of floating-point range {where}: regional total "
         f"{regional_total!r} against national total {national_total!r}"
     )
 

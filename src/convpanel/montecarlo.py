@@ -204,7 +204,7 @@ def _sample(config: SimulationConfig, log_p: np.ndarray) -> GrowthSample:
 
 
 def _replay(
-    config: SimulationConfig, seeds: np.ndarray, first: int, specs: dict[str, ModelSpec], error: Exception
+    config: SimulationConfig, seeds: np.ndarray, first: int, specs: Sequence[ModelSpec], error: Exception
 ) -> NoReturn:
     """Rerun a block of replications that failed with ``error``, one at a
     time from replication ``first`` on, and raise the first failure: a
@@ -212,11 +212,11 @@ def _replay(
     method. A block whose replications all pass alone fails as a block."""
     for i, seed in enumerate(seeds.tolist(), first):
         sample = _sample(config, _log_levels(config, [seed])[0])
-        for method, spec in specs.items():
+        for spec in specs:
             try:
-                _fit(method, sample, spec)
+                _fit(sample, spec)
             except Exception as failure:
-                raise EstimationError(f"replication {i} failed for {method}: {failure}") from failure
+                raise EstimationError(f"replication {i} failed for {spec.method}: {failure}") from failure
     last = first + len(seeds) - 1
     raise EstimationError(f"replications {first}-{last} failed as a block: {error}") from error
 
@@ -248,7 +248,7 @@ def recovery_experiment(
     if replications < 1:
         raise EstimationError("at least one replication required")
     methods = tuple(methods)
-    specs = {method: ModelSpec(method=method) for method in methods}  # rejects an unknown method
+    specs = tuple(ModelSpec(method=method) for method in methods)  # rejects an unknown method
     if len(set(methods)) != len(methods):
         raise EstimationError(f"methods must be unique, got {methods}")
 
@@ -263,15 +263,15 @@ def recovery_experiment(
         with np.errstate(all="ignore"):
             try:
                 sample = _sample(config, log_p)
-                block = {method: _fit(method, sample, spec) for method, spec in specs.items()}
+                block = [_fit(sample, spec) for spec in specs]
             except Exception as error:
                 _replay(config, seeds, first, specs, error)
-        for method, fits in block.items():
+        for fits in block:
             column = fits.labels.index(CONVERGENCE_LABEL)
             b_hat = fits.coefficients[:, column]
-            estimates[method][first : first + len(b_hat)] = b_hat
+            estimates[fits.method][first : first + len(b_hat)] = b_hat
             half_width = t_critical(fits.df_residual, 0.05) * fits.std_errors[:, column]
-            covered[method] += int(np.count_nonzero(np.abs(b_hat - config.b_true) <= half_width))
+            covered[fits.method] += int(np.count_nonzero(np.abs(b_hat - config.b_true) <= half_width))
 
     mean_estimate = {}
     mean_bias = {}

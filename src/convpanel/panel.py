@@ -153,11 +153,6 @@ class PanelDataset:
             raise PanelDataError(f"{what}, got {view.grid[i, j].item()!r} at {cell}")
         return view
 
-    @property
-    def cell_count(self) -> int:
-        """Number of stored productivity cells (raw observation count)."""
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class GrowthRow:
@@ -196,12 +191,13 @@ class GrowthSample:
     """Stacked regression rows for the growth equation.
 
     Rows are grouped by region and ordered by year within each region,
-    stored as :class:`GrowthColumns` whose ``code`` indexes ``regions``.
-    ``regions`` lists only regions that contribute at least one row;
-    ``panel_regions`` keeps the full region list of the source panel so
-    reports can render empty dummy slots. ``source_cell_count`` is the
-    raw number of productivity cells in the source panel (reported as
-    metadata; estimation always runs on the transition rows).
+    stored as :class:`GrowthColumns` whose ``code`` indexes its
+    ``regions``: only regions that contribute at least one row, which
+    the sample's ``regions`` reads. ``panel_regions`` keeps the full
+    region list of the source panel so reports can render empty dummy
+    slots. ``source_cell_count`` is the raw number of productivity cells
+    in the source panel (reported as metadata; estimation always runs on
+    the transition rows).
 
     ``fits`` holds fits derived from the sample, so that estimators
     sharing one (the within fit behind LSDV and GLS) compute it once;
@@ -217,7 +213,6 @@ class GrowthSample:
 
     rows: GrowthColumns
     structural_names: tuple[str, ...]
-    regions: tuple[str, ...]
     panel_regions: tuple[str, ...]
     sector: str
     dropped_transitions: int
@@ -250,8 +245,9 @@ class GrowthSample:
         return len(self.rows)
 
     @property
-    def region_count(self) -> int:
-        return len(self.regions)
+    def regions(self) -> tuple[str, ...]:
+        """The regions that contribute rows, as ``rows.code`` indexes them."""
+        return self.rows.regions
 
     @property
     def y(self) -> np.ndarray:
@@ -389,7 +385,6 @@ def growth_sample_from_logs(
     return GrowthSample(
         rows=GrowthColumns(contributing, code, years[step + 1], block),
         structural_names=names,
-        regions=contributing,
         panel_regions=regions,
         sector=sector,
         dropped_transitions=int(np.count_nonzero(starts ^ ends)),

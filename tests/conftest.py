@@ -70,10 +70,10 @@ def failing_replications(monkeypatch):
                     grid[...] = levels[member]
             return log_p
 
-        def fit(method, sample, spec):
-            if any(fits.get(member) == method for member in drawn):
+        def fit(sample, spec):
+            if any(fits.get(member) == spec.method for member in drawn):
                 raise EstimationError("forced failure")
-            return real_fit(method, sample, spec)
+            return real_fit(sample, spec)
 
         monkeypatch.setattr(mc, "_log_levels", draw)
         monkeypatch.setattr(mc, "_fit", fit)

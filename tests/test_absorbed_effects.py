@@ -102,7 +102,7 @@ def test_time_invariant_regressor_is_rank_deficient(invariant, label):
 
 def test_region_without_rows_is_rank_deficient():
     sample = build_growth_sample(unbalanced_panel(), NAMES)
-    padded = replace(sample, regions=sample.regions + ("h",))
+    padded = replace(sample, rows=replace(sample.rows, regions=sample.regions + ("h",)))
     for method, fit in (("lsdv", fit_lsdv), ("gls", fit_gls_random_effects)):
         with pytest.raises(RankDeficientError) as raised:
             fit(padded, ModelSpec(method=method, structural=NAMES))

@@ -54,9 +54,9 @@ def test_block_members_match_one_member_fits(case, monkeypatch):
     blocks = []
     real_fit = mc._fit
 
-    def recording_fit(method, sample, spec):
-        fits = real_fit(method, sample, spec)
-        blocks.append((method, len(sample.rows.data), fits))
+    def recording_fit(sample, spec):
+        fits = real_fit(sample, spec)
+        blocks.append((spec.method, len(sample.rows.data), fits))
         return fits
 
     monkeypatch.setattr(mc, "_fit", recording_fit)
@@ -70,7 +70,7 @@ def test_block_members_match_one_member_fits(case, monkeypatch):
     for method, size, fits in blocks:
         column = fits.labels.index("Coef.1")
         for b in range(size):
-            fit = fit_method(method, one_member_sample(config, seeds[seen[method]]), ModelSpec(method))
+            fit = fit_method(one_member_sample(config, seeds[seen[method]]), ModelSpec(method))
             seen[method] += 1
             b_hat, se = fits.coefficients[b, column], fits.std_errors[b, column]
             assert fits.df_residual == fit.df_residual
@@ -113,7 +113,7 @@ def test_a_failing_member_fails_as_its_one_member_fit(failing_replications):
     config = SimulationConfig(seed=1, regions=5, periods=9, b_true=-0.3)
     flat = growth_sample_from_logs(np.ones((5, 9)), *mc._axes(config), "simulated")
     with pytest.raises(EstimationError) as one:
-        fit_method("pooled", flat, ModelSpec("pooled"))
+        fit_method(flat, ModelSpec("pooled"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EstimationError) as block:
@@ -124,10 +124,10 @@ def test_a_failing_member_fails_as_its_one_member_fit(failing_replications):
 def test_a_block_that_fails_only_as_a_block_is_named_by_its_range(monkeypatch, capsys):
     real_fit = mc._fit
 
-    def fit(method, sample, spec):
+    def fit(sample, spec):
         if sample.batched:
             raise EstimationError("forced failure")
-        return real_fit(method, sample, spec)
+        return real_fit(sample, spec)
 
     monkeypatch.setattr(mc, "_fit", fit)
     monkeypatch.setattr(mc, "_BLOCK_CELLS", 8 * 5 * 9)  # blocks of 8 replications at 5x9
@@ -167,7 +167,7 @@ def test_between_df_of_a_rank_deficient_between_design(tmp_path, capsys):
 def test_growth_sample_rows_must_be_growth_columns():
     with pytest.raises(PanelDataError, match="must be GrowthColumns, got tuple"):
         GrowthSample(
-            rows=(), structural_names=(), regions=("a",), panel_regions=("a",),
+            rows=(), structural_names=(), panel_regions=("a",),
             sector="s", dropped_transitions=0, source_cell_count=0,
         )
 
@@ -176,13 +176,13 @@ def test_growth_sample_rows_must_be_growth_columns():
 def test_growth_sample_data_must_hold_its_rows(shape):
     rows = GrowthColumns(("a",), np.zeros(3, np.intp), np.arange(3), np.zeros(shape))
     with pytest.raises(PanelDataError, match="does not hold 3 rows of 2 columns"):
-        GrowthSample(rows, (), ("a",), ("a",), "s", 0, 4)
+        GrowthSample(rows, (), ("a",), "s", 0, 4)
 
 
 @pytest.mark.parametrize("shape", [(3, 2), (5, 3, 2)])
 def test_one_sample_and_a_block_are_growth_samples(shape):
     rows = GrowthColumns(("a",), np.zeros(3, np.intp), np.arange(3), np.zeros(shape))
-    sample = GrowthSample(rows, (), ("a",), ("a",), "s", 0, 4)
+    sample = GrowthSample(rows, (), ("a",), "s", 0, 4)
     assert sample.batched == (len(shape) == 3)
     assert sample.y.shape == shape[:-1]
 

@@ -39,7 +39,7 @@ def test_panel_from_dicts_equals_panel_from_grids():
     assert from_dicts == from_grids
     np.testing.assert_array_equal(from_dicts.values.grid, VALUES)
     np.testing.assert_array_equal(from_dicts.structural["k"].grid, CAPITAL)
-    assert from_dicts.cell_count == from_grids.cell_count == 7
+    assert len(from_dicts.values) == len(from_grids.values) == 7
     a, b = build_growth_sample(from_dicts, ("k",)), build_growth_sample(from_grids, ("k",))
     np.testing.assert_array_equal(a.rows.data, b.rows.data)
     assert sigma_dispersion(from_dicts) == sigma_dispersion(from_grids)
@@ -84,7 +84,7 @@ def test_replace_with_a_dict_lays_it_out():
     values[("a", 2001)] = 5.0
     changed = replace(panel, values=values)
     assert isinstance(changed.values, CellGrid)
-    assert changed.values[("a", 2001)] == 5.0 and changed.cell_count == 8
+    assert changed.values[("a", 2001)] == 5.0 and len(changed.values) == 8
     assert changed.structural == panel.structural
 
 

@@ -223,8 +223,8 @@ def test_overflowing_national_total_is_one_data_error_line(tmp_path, capsys):
         code, out, err = run(capsys, "lq", "--input", str(path), "--sector", "x")
     assert (code, out, caught) == (2, "", [])
     assert err == (
-        "convpanel: data error: location quotient out of floating-point range: "
-        "regional total 1e+308 against national total inf\n"
+        "convpanel: data error: location quotient out of floating-point range for region 'a', "
+        "year 2000: regional total 1e+308 against national total inf\n"
     )
 
 

@@ -115,6 +115,10 @@ SHORT_ROW = (
     "a,2000,s,100,5\na,2001,s\nb,2000,s,90,4\nb,2001,s,95,4\n"
 )
 
+# A year with one region: its dispersion divides by zero, which numpy
+# would report as a RuntimeWarning if the division were not silenced.
+ONE_REGION_YEAR = "region,year,sector,output_per_worker\na,2000,s,100\nb,2000,s,90\na,2001,s,105\n"
+
 
 @settings(max_examples=100, deadline=None)
 @example(NAN_CAPITAL, ("fit", "--method=all", "--conditional=capital_output"), (), "md")
@@ -123,6 +127,7 @@ SHORT_ROW = (
 @example(BLANK_LINES, ("fit", "--method=all", "--conditional="), (), "md")
 @example(MULTI_LINE_CELLS, ("sigma",), (), "tsv")
 @example(SHORT_ROW, ("lq",), (), "json")
+@example(ONE_REGION_YEAR, ("sigma",), (), "md")
 @given(
     text=panels(),
     command=commands,
@@ -135,9 +140,11 @@ def test_main_ends_in_a_result_or_one_diagnostic(text, command, window, fmt):
         path.write_text(text, encoding="utf-8")
         argv = [*command, "--input", str(path), "--sector", "s", *window, "--format", fmt]
         out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True), contextlib.redirect_stdout(out), \
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(err):
             code = main(argv)
+    # the package's one warning is a UserWarning (a single-row region); numpy's would leak
+    assert all(warning.category is UserWarning for warning in caught), [str(w.message) for w in caught]
     assert code in (0, 2, 3)
     if code:
         assert out.getvalue() == ""

@@ -126,12 +126,12 @@ class TestLocationQuotient:
         assert location_quotient(5.0, 1000.0, 500.0, 1000.0) == pytest.approx(0.01, abs=1e-12)
 
     def test_rejects_nonpositive(self):
-        message = r"^regional_sector employment must be positive, got 0\.0$"
+        message = r"^regional_sector employment must be positive for region 'a', year 2000, got 0\.0$"
         with pytest.raises(PanelDataError, match=message):
             location_quotient(0.0, 1.0, 1.0, 1.0)
 
     def test_rejects_regional_above_national(self):
-        message = "^regional sector employment exceeds the national count$"
+        message = "^regional sector employment exceeds the national count for region 'a', year 2000$"
         with pytest.raises(PanelDataError, match=message):
             location_quotient(10.0, 5.0, 1.0, 2.0)
 

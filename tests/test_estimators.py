@@ -215,7 +215,7 @@ class TestGls:
             ("a", "b"), np.repeat([0, 1], 3), np.tile([2001, 2002, 2003], 2),
             np.column_stack([effect + 1.0 * x, x]),
         )
-        sample = GrowthSample(rows, (), ("a", "b"), ("a", "b"), "x", 0, 8)
+        sample = GrowthSample(rows, (), ("a", "b"), "x", 0, 8)
         with pytest.raises(EstimationError, match="degenerate"):
             fit_gls_random_effects(sample, ModelSpec(method="gls"))
 

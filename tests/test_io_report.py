@@ -66,7 +66,7 @@ class TestReadPanel:
     def test_reads_45_cells(self, tmp_path):
         path = five_region_csv(tmp_path)
         panel = read_panel(path, "agriculture")
-        assert panel.cell_count == 45
+        assert len(panel.values) == 45
         assert len(panel.regions) == 5
         assert panel.periods == tuple(range(1986, 1995))
 
@@ -384,7 +384,7 @@ class TestRenderReport:
         )
         no_rows = GrowthColumns(("a",), np.empty(0, np.intp), np.empty(0, int), np.empty((0, 2)))
         sample = GrowthSample(
-            rows=no_rows, structural_names=(), regions=("a",), panel_regions=("a",),
+            rows=no_rows, structural_names=(), panel_regions=("a",),
             sector="s", dropped_transitions=0, source_cell_count=45,
         )
         # insignificant at df=38: no star on either label

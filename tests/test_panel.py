@@ -39,7 +39,7 @@ def test_balanced_5x9_panel_yields_40_rows():
     panel = make_panel(regions=[f"r{i}" for i in range(5)], years=range(1986, 1995))
     sample = build_growth_sample(panel)
     assert sample.row_count == 40
-    assert sample.region_count == 5
+    assert len(sample.regions) == 5
     assert sample.source_cell_count == 45
     assert sample.dropped_transitions == 0
 

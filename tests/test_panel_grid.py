@@ -128,7 +128,7 @@ def test_growth_sample_matches_per_cell_loop(block):
         assert sample.regions == contributing
         assert sample.dropped_transitions == dropped
         assert sample.structural_names == names
-        assert sample.source_cell_count == panel.cell_count
+        assert sample.source_cell_count == len(panel.values)
         assert sample.panel_regions == panel.regions
         assert sample.sector == panel.sector
         assert [contributing[c] for c in sample.rows.code] == [row[0] for row in rows]

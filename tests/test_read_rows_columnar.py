@@ -184,8 +184,9 @@ def oracle_panel(rows, sector, start=None, end=None):
     )
 
 
-def oracle_quotient(regional_sector, national_sector, regional_total, national_total):
-    """One location quotient, under the checks of its employment counts."""
+def oracle_quotient(cell, regional_sector, national_sector, regional_total, national_total):
+    """The location quotient of ``cell``, under the checks of its employment counts."""
+    where = f"for region {cell[0]!r}, year {cell[1]}"
     for name, value in (
         ("regional_sector", regional_sector),
         ("national_sector", national_sector),
@@ -193,17 +194,17 @@ def oracle_quotient(regional_sector, national_sector, regional_total, national_t
         ("national_total", national_total),
     ):
         if not value > 0.0:
-            raise PanelDataError(f"{name} employment must be positive, got {value!r}")
+            raise PanelDataError(f"{name} employment must be positive {where}, got {value!r}")
     if regional_sector > national_sector:
-        raise PanelDataError("regional sector employment exceeds the national count")
+        raise PanelDataError(f"regional sector employment exceeds the national count {where}")
     if regional_total > national_total:
-        raise PanelDataError("regional total employment exceeds the national count")
+        raise PanelDataError(f"regional total employment exceeds the national count {where}")
     sector_share = regional_sector / national_sector
     total_share = regional_total / national_total
     quotient = sector_share / total_share if total_share > 0.0 else math.inf
     if not math.isfinite(quotient):
         raise PanelDataError(
-            f"location quotient out of floating-point range: regional total "
+            f"location quotient out of floating-point range {where}: regional total "
             f"{regional_total!r} against national total {national_total!r}"
         )
     return quotient
@@ -241,7 +242,7 @@ def oracle_derive(panel, total_employment, national_sector=None, national_total=
             else year_sum(total_employment, year)
         )
         quotients[cell] = oracle_quotient(
-            sector_emp[cell], nat_sector, total_employment[cell], nat_total
+            cell, sector_emp[cell], nat_sector, total_employment[cell], nat_total
         )
     structural = dict(panel.structural)
     structural["location_quotient"] = quotients
@@ -563,7 +564,7 @@ def test_non_finite_values_render_as_null():
     )
     no_rows = GrowthColumns(("a", "b"), np.empty(0, np.intp), np.empty(0, int), np.empty((0, 2)))
     sample = GrowthSample(
-        rows=no_rows, structural_names=(), regions=("a", "b"), panel_regions=("a", "b"),
+        rows=no_rows, structural_names=(), panel_regions=("a", "b"),
         sector="s", dropped_transitions=0, source_cell_count=14,
     )
     payload = json.loads(render_report((sample, [fit]), "json"), parse_constant=strict)

@@ -87,7 +87,7 @@ def test_ordered_fast_path_matches_general_path(seed, monkeypatch):
     with monkeypatch.context() as patched, pytest.warns(UserWarning, match="single row"):
         # a fit takes the sample's rows in the order they come
         patched.setattr(np, "lexsort", lambda keys: pytest.fail("a fit sorted its rows"))
-        fits = [fit_method(method, sample, ModelSpec(method=method)) for method in METHODS]
+        fits = [fit_method(sample, ModelSpec(method=method)) for method in METHODS]
     for fit in fits:
         assert fit.dw == sorted_durbin_watson(fit.residuals, sample.rows.code, sample.rows.year)
 
@@ -177,9 +177,9 @@ def test_one_fit_per_method_per_block_in_method_order(monkeypatch):
     calls = []
     real_fit = mc._fit
 
-    def counting_fit(method, sample, spec):
-        calls.append((method, sample))
-        return real_fit(method, sample, spec)
+    def counting_fit(sample, spec):
+        calls.append((spec.method, sample))
+        return real_fit(sample, spec)
 
     monkeypatch.setattr(mc, "_fit", counting_fit)
     monkeypatch.setattr(mc, "_BLOCK_CELLS", 3 * 5 * 9)  # three replications a block at 5x9
