@@ -34,6 +34,7 @@ from .regression import (
     FitResult,
     _BlockFit,
     _check_norms,
+    _exact_fits,
     _fail,
     _rank_fit,
     _solve,
@@ -211,8 +212,7 @@ def _variance_components(sample: GrowthSample, spec: ModelSpec) -> tuple:
     counts = sample.region_counts
     r = counts.size
     sigma2_e = within.sse / (within.df_residual - r)
-    y = sample.y.reshape(-1, sample.row_count)
-    degenerate = sigma2_e <= 1e-24 * (1.0 + np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0] / y.shape[1])
+    degenerate = _exact_fits(within.sse, within.df_residual - r, sample.y.reshape(-1, sample.row_count))
     _fail(degenerate, lambda b: EstimationError(
         "degenerate panel: within fit is (numerically) exact, idiosyncratic variance is zero"
     ))

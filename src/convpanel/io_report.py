@@ -533,8 +533,9 @@ def _render(payload: dict, fmt: str, header: list[str], cells: Callable[[dict], 
 
 
 def _estimate_text(estimate: dict) -> str:
-    """An estimate as "value<stars> (t)"."""
-    return f"{_fmt3(estimate['value'])}{estimate['stars']} ({_fmt3(estimate['t'])})"
+    """An estimate as "value<stars> (t)", or as its value alone when its t is undefined."""
+    value = f"{_fmt3(estimate['value'])}{estimate['stars']}"
+    return value if estimate["t"] is None else f"{value} ({_fmt3(estimate['t'])})"
 
 
 def render_report(fitted: tuple[GrowthSample, Sequence[FitResult]], fmt: str = "md") -> str:
@@ -588,22 +589,24 @@ def _report_payload(sample: GrowthSample, fits: Sequence[FitResult]) -> dict:
     rows = []
     for fit in sorted(fits, key=lambda fit: METHODS.index(fit.method)):
         b = fit.coef(CONVERGENCE_LABEL)
-        classes = [classify(t, fit.df_residual) for t in fit.t_stats]
+        exact = "exact_fit" in fit.flags  # its standard errors are rounding noise
+        t_stats = (None,) * len(fit.labels) if exact else fit.t_stats
+        classes = [NONE if t is None else classify(t, fit.df_residual) for t in t_stats]
         significant = classes[fit.labels.index(CONVERGENCE_LABEL)] != NONE
         direction = CONVERGING if b < 0.0 else DIVERGING if b > 0.0 else INCONCLUSIVE
         row = {
             "method": fit.method,
             "estimates": {
                 label: {"value": value, "t": t, "stars": STARS[kind]}
-                for label, value, t, kind in zip(fit.labels, fit.coefficients, fit.t_stats, classes)
+                for label, value, t, kind in zip(fit.labels, fit.coefficients, t_stats, classes)
             },
             # an LSDV fit's labels start with its dummies D1..Dk, one per region
             "dummy_regions": dict(zip(fit.labels, sample.regions)) if fit.method == "lsdv" else {},
-            "tc": annual_rate(b),
-            "half_life": half_life(b),
+            "tc": None if exact else annual_rate(b),
+            "half_life": None if exact else half_life(b),
             "verdict": direction if significant else INCONCLUSIVE,
-            "dw": fit.dw,
-            "r2": fit.r_squared,
+            "dw": None if exact else fit.dw,
+            "r2": 1.0 if exact else fit.r_squared,
             "df": fit.df_residual,
             "rows": sample.row_count,
             "cells": sample.source_cell_count,

@@ -303,9 +303,6 @@ class SigmaSeries:
     dispersion: tuple[float, ...]
     region_counts: tuple[int, ...]
 
-    def as_dict(self) -> dict[int, float]:
-        return dict(zip(self.years, self.dispersion))
-
 
 def build_growth_sample(
     panel: PanelDataset,

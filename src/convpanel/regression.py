@@ -67,7 +67,9 @@ class FitResult:
     residuals zero, or no region contributes two consecutive rows).
     ``xtx_inv`` is (X'X)^{-1} from the QR factor, so that s^2 times it
     is the coefficient covariance; fits not made by
-    :func:`least_squares` may leave it None.
+    :func:`least_squares` may leave it None. ``flags`` holds
+    ``exact_fit`` when the residual variance is within rounding of zero:
+    the standard errors and t-ratios are then rounding noise.
     """
 
     method: str
@@ -86,19 +88,6 @@ class FitResult:
 
     def coef(self, label: str) -> float:
         return self.coefficients[self.labels.index(label)]
-
-    def se(self, label: str) -> float:
-        return self.std_errors[self.labels.index(label)]
-
-    def t_stat(self, label: str) -> float:
-        return self.t_stats[self.labels.index(label)]
-
-    def as_dict(self) -> dict[str, tuple[float, float, float]]:
-        """label -> (coefficient, standard error, t-statistic)."""
-        return {
-            label: (self.coefficients[i], self.std_errors[i], self.t_stats[i])
-            for i, label in enumerate(self.labels)
-        }
 
 
 def least_squares(design: DesignMatrix, y: Sequence[float], method: str = "pooled") -> FitResult:
@@ -154,6 +143,7 @@ class _BlockFit:
         residuals = self.residuals[b]
         sse = float(self.sse[b])
         tss, r2 = r_squared(sse, self.response[b])
+        exact = ("exact_fit",) if _exact_fits(self.sse[b], self.df_residual, self.response[b]) else ()
         xtx_inv = None if self.xtx_inv is None else self.xtx_inv[b]
         for array in (residuals, xtx_inv):
             if array is not None:
@@ -170,7 +160,7 @@ class _BlockFit:
             r_squared=r2,
             df_residual=self.df_residual,
             dw=_dw_ratio(residuals, order, within),
-            flags=tuple(flag for flag, members in self.flags if members[b]),
+            flags=tuple(flag for flag, members in self.flags if members[b]) + exact,
             xtx_inv=xtx_inv,
         )
 
@@ -301,14 +291,8 @@ def _pivoted_qr(X: np.ndarray, y: np.ndarray, labels: Sequence[str]) -> tuple[np
 
 
 def _swap(j: int, p: np.ndarray, *arrays: np.ndarray) -> None:
-    """Swap row j of each member of ``arrays`` with its row p[member]: a
-    plain row swap when every member pivots alike (as a single sample
-    does), else one gather and one scatter."""
-    if not np.count_nonzero(p != p[0]):
-        q = int(p[0])
-        for array in arrays:
-            array[:, j], array[:, q] = array[:, q].copy(), array[:, j].copy()
-        return
+    """Swap row j of each member of ``arrays`` with its row p[member]: one
+    gather and one scatter."""
     pair = np.empty((len(p), 2), dtype=np.intp)
     pair[:, 0], pair[:, 1] = j, p
     members = np.arange(len(p))[:, None]
@@ -370,6 +354,15 @@ def t_ratios(coefficients: np.ndarray, std_errors: np.ndarray) -> tuple[float, .
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(std_errors > 0.0, coefficients / std_errors, np.inf * np.sign(coefficients))
     return tuple(t.tolist())
+
+
+def _exact_fits(sse: np.ndarray, df: int, y: np.ndarray) -> np.ndarray:
+    """Which fits are exact: their residual variance, ``sse / df``, is
+    within rounding of zero next to the mean square of their response
+    ``y`` (n, or members x n), so that their standard errors and t-ratios
+    are rounding noise."""
+    mean_square = np.matmul(y[..., None, :], y[..., :, None])[..., 0, 0] / y.shape[-1]
+    return sse / df <= 1e-24 * (1.0 + mean_square)
 
 
 def r_squared(sse: float, response: np.ndarray) -> tuple[float, float]:

@@ -186,3 +186,31 @@ def test_out_flag_writes_file(conditional_csv, tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text(encoding="utf-8").startswith("| Method |")
+
+
+@pytest.mark.parametrize("method", ["pooled", "lsdv"])
+def test_exact_fit_prints_no_t_ratios(tmp_path, capsys, method):
+    # three regions each growing exactly 5% a year: every residual is
+    # rounding noise, so no estimate has a t-ratio, a star or a reading
+    path = tmp_path / "exact.csv"
+    path.write_text("region,year,sector,output_per_worker\n" + "".join(
+        f"{region},{2000 + t},s,{base * 1.05 ** t!r}\n"
+        for region, base in (("a", 100.0), ("b", 80.0), ("c", 60.0))
+        for t in range(6)
+    ), encoding="utf-8")
+    argv = ("fit", "--input", str(path), "--sector", "s", "--method", method)
+
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    (row,) = json.loads(out)["rows"]
+    assert all(estimate["t"] is None and estimate["stars"] == "" for estimate in row["estimates"].values())
+    assert (row["tc"], row["half_life"], row["dw"]) == (None, None, None)
+    assert (row["r2"], row["verdict"]) == (1.0, "inconclusive")
+
+    code, out, err = run_cli(capsys, *argv, "--format", "md")
+    assert (code, err) == (0, "")
+    cells = out.splitlines()[2].strip("| ").split(" | ")
+    estimates = cells[1:-4]
+    assert len(estimates) == len(row["estimates"])
+    assert not any("(" in cell or "*" in cell for cell in estimates)
+    assert cells[-4:] == ["", "", "1.000", str(row["df"])]

@@ -3,14 +3,16 @@
 ``main()`` runs ``fit``, ``sigma`` and ``lq`` on generated long-format
 CSV text (ragged panels, duplicate keys, empty, unparsable, zero,
 negative and non-finite cells, NATIONAL rows, a byte-order mark, blank
-lines, quoted cells spanning two lines and short rows). The
-exit code is 0, 2 or 3; no exception escapes; a nonzero exit writes
-exactly one stderr line, starting with ``convpanel:``. Warnings are
-recorded apart: they are not a failed run's diagnostic.
+lines, quoted cells spanning two lines and short rows), and on
+noise-free panels whose fits are exact. The exit code is 0, 2 or 3; no
+exception escapes; a nonzero exit writes exactly one stderr line,
+starting with ``convpanel:``; a fit's JSON prints no t-ratio above 1e12.
+Warnings are recorded apart: they are not a failed run's diagnostic.
 """
 
 import contextlib
 import io
+import json
 import tempfile
 import warnings
 from pathlib import Path
@@ -69,6 +71,22 @@ def panels(draw):
     return bom + "\n".join(lines) + "\n"
 
 
+@st.composite
+def exact_panels(draw):
+    """Noise-free panels: each region's output per worker is base * growth**t
+    in year t of its run, so the region dummies (and, with one growth rate,
+    a common intercept) fit the growth rates exactly."""
+    regions = draw(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=2, max_size=4, unique=True))
+    years = range(2000, 2000 + draw(st.integers(2, 8)))
+    common = draw(st.sampled_from([0.97, 1.0, 1.05, 1.3]))
+    lines = ["region,year,sector,output_per_worker"]
+    for region in regions:
+        base = draw(st.floats(min_value=0.5, max_value=2000.0))
+        growth = draw(st.one_of(st.just(common), st.floats(min_value=0.8, max_value=1.3)))
+        lines += [f"{region},{year},s,{base * growth ** t!r}" for t, year in enumerate(years)]
+    return "\n".join(lines) + "\n"
+
+
 commands = st.one_of(
     st.tuples(
         st.just("fit"),
@@ -115,6 +133,14 @@ SHORT_ROW = (
     "a,2000,s,100,5\na,2001,s\nb,2000,s,90,4\nb,2001,s,95,4\n"
 )
 
+# Three regions each growing exactly 5% a year: a pooled or LSDV fit printed
+# its intercept or dummies starred, with t-ratios of 1e13 and more.
+EXACT_GROWTH = "region,year,sector,output_per_worker\n" + "".join(
+    f"{region},{2000 + t},s,{base * 1.05 ** t!r}\n"
+    for region, base in (("a", 100.0), ("b", 80.0), ("c", 60.0))
+    for t in range(6)
+)
+
 # A year with one region: its dispersion divides by zero, which numpy
 # would report as a RuntimeWarning if the division were not silenced.
 ONE_REGION_YEAR = "region,year,sector,output_per_worker\na,2000,s,100\nb,2000,s,90\na,2001,s,105\n"
@@ -128,8 +154,10 @@ ONE_REGION_YEAR = "region,year,sector,output_per_worker\na,2000,s,100\nb,2000,s,
 @example(MULTI_LINE_CELLS, ("sigma",), (), "tsv")
 @example(SHORT_ROW, ("lq",), (), "json")
 @example(ONE_REGION_YEAR, ("sigma",), (), "md")
+@example(EXACT_GROWTH, ("fit", "--method=pooled", "--conditional="), (), "json")
+@example(EXACT_GROWTH, ("fit", "--method=lsdv", "--conditional="), (), "json")
 @given(
-    text=panels(),
+    text=st.one_of(panels(), exact_panels()),
     command=commands,
     window=st.sampled_from([(), ("--from", "2001"), ("--to", "2003")]),
     fmt=st.sampled_from(["md", "tsv", "json"]),
@@ -150,3 +178,8 @@ def test_main_ends_in_a_result_or_one_diagnostic(text, command, window, fmt):
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("convpanel:"), lines
+    elif command[0] == "fit" and fmt == "json":
+        # an exact fit's t-ratios are rounding noise, and are printed as null
+        ts = [estimate["t"] for row in json.loads(out.getvalue())["rows"]
+              for estimate in row["estimates"].values()]
+        assert all(t is None or abs(t) <= 1e12 for t in ts), ts

@@ -262,5 +262,5 @@ def test_methods_agree_when_effects_equal():
     gls = fit_gls_random_effects(sample, ModelSpec(method="gls"))
     slopes = [fit.coef("Coef.1") for fit in (pooled, lsdv, gls)]
     spread = max(slopes) - min(slopes)
-    bound = 3.0 * max(fit.se("Coef.1") for fit in (pooled, lsdv, gls))
+    bound = 3.0 * max(fit.std_errors[fit.labels.index("Coef.1")] for fit in (pooled, lsdv, gls))
     assert spread <= bound

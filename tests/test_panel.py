@@ -177,6 +177,7 @@ def test_sigma_invariant_under_common_scaling_within_year(factor, seed):
         for cell, value in panel.values.items()
     }
     scaled = PanelDataset(panel.regions, panel.periods, panel.sector, values)
-    assert sigma_dispersion(scaled).as_dict()[year] == pytest.approx(
-        sigma_dispersion(panel).as_dict()[year], abs=1e-9
+    scaled_series, series = sigma_dispersion(scaled), sigma_dispersion(panel)
+    assert dict(zip(scaled_series.years, scaled_series.dispersion))[year] == pytest.approx(
+        dict(zip(series.years, series.dispersion))[year], abs=1e-9
     )

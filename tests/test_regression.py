@@ -157,13 +157,6 @@ class TestLeastSquares:
         fit = least_squares(design(X, ("x",)), y)
         assert fit.r_squared <= 1.0
 
-    def test_as_dict_accessor(self):
-        X = [[1.0, 1.0], [1.0, 2.0], [1.0, 3.0], [1.0, 4.0]]
-        fit = least_squares(design(X, ("Const.", "x")), [2.1, 3.9, 6.2, 7.8])
-        table = fit.as_dict()
-        assert set(table) == {"Const.", "x"}
-        assert table["x"] == (fit.coef("x"), fit.se("x"), fit.t_stat("x"))
-
 
 # Rank-deficient designs and the column that LAPACK's geqp3 (through
 # scipy.linalg.qr with pivoting) named, recorded before the solver was
