@@ -157,8 +157,6 @@ def _conditional_names(raw: str) -> tuple[str, ...]:
                 f"expected one of {sorted(set(CONDITIONAL_ALIASES))}"
             )
         names.append(CONDITIONAL_ALIASES[token])
-    if len(set(names)) != len(names):
-        raise PanelDataError("structural regressors must be unique")
     return tuple(names)
 
 
@@ -218,11 +216,6 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_recover(args) -> None:
     methods = METHODS if args.methods == "all" else tuple(m.strip() for m in args.methods.split(","))
-    for method in methods:
-        if method not in METHODS:
-            raise PanelDataError(f"unknown method {method!r}; expected subset of {METHODS}")
-    if len(set(methods)) != len(methods):
-        raise PanelDataError("methods must be unique")
     stats = recovery_experiment(_simulation_config(args), args.reps, methods)
     _emit(render_recovery(stats, args.format), args.out)
 

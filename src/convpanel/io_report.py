@@ -534,8 +534,10 @@ def _render(payload: dict, fmt: str, header: list[str], cells: Callable[[dict], 
 
 def _estimate_text(estimate: dict) -> str:
     """An estimate as "value<stars> (t)", or as its value alone when its t is undefined."""
-    value = f"{_fmt3(estimate['value'])}{estimate['stars']}"
-    return value if estimate["t"] is None else f"{value} ({_fmt3(estimate['t'])})"
+    value = _fmt3(estimate["value"])
+    if estimate["t"] is None:  # an exact row, whose "-0.000" is rounding noise
+        return ("0.000" if value == "-0.000" else value) + estimate["stars"]
+    return f"{value}{estimate['stars']} ({_fmt3(estimate['t'])})"
 
 
 def render_report(fitted: tuple[GrowthSample, Sequence[FitResult]], fmt: str = "md") -> str:

@@ -314,12 +314,10 @@ def build_growth_sample(
     Raises
     ------
     PanelDataError
-        If a structural name is repeated or not in the panel, or as
+        If a structural name is not in the panel, or as
         :func:`growth_sample_from_logs` does.
     """
     names = tuple(structural_names)
-    if len(set(names)) != len(names):
-        raise PanelDataError("structural variable names must be unique")
     for name in names:
         if name not in panel.structural:
             raise PanelDataError(f"panel has no structural variable {name!r}")

@@ -213,4 +213,5 @@ def test_exact_fit_prints_no_t_ratios(tmp_path, capsys, method):
     estimates = cells[1:-4]
     assert len(estimates) == len(row["estimates"])
     assert not any("(" in cell or "*" in cell for cell in estimates)
+    assert estimates[-1] == "0.000"  # Coef.1, rounding noise of either sign, prints unsigned
     assert cells[-4:] == ["", "", "1.000", str(row["df"])]

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from convpanel.cli import main
+from convpanel.convergence import run_methods
 from convpanel.errors import EstimationError, PanelDataError
 from convpanel.estimators import METHODS
+from convpanel.io_report import read_panel
 from convpanel.montecarlo import SimulationConfig, recovery_experiment
 
 PANEL = ["--input", str(Path(__file__).parent / "golden" / "sim42.csv"), "--sector", "simulated"]
@@ -25,23 +27,28 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_repeated_recover_method_is_a_data_error(capsys):
+def test_repeated_recover_method_is_an_estimation_error(capsys):
     argv = ["recover", "--seed", "1", "--reps", "20", "--methods", "pooled,pooled"]
     code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (2, "", "convpanel: data error: methods must be unique\n")
+    message = "convpanel: estimation error: methods must be unique, got ('pooled', 'pooled')\n"
+    assert (code, out, err) == (3, "", message)
 
 
-def test_unknown_recover_method_is_a_data_error(capsys):
+def test_unknown_recover_method_is_an_estimation_error(capsys):
     argv = ["recover", "--seed", "1", "--reps", "2", "--methods", "pooled,foo"]
     code, out, err = run(capsys, *argv)
-    message = f"convpanel: data error: unknown method 'foo'; expected subset of {METHODS}\n"
-    assert (code, out, err) == (2, "", message)
+    message = "convpanel: estimation error: unknown method 'foo', expected one of ('pooled', 'lsdv', 'gls')\n"
+    assert (code, out, err) == (3, "", message)
 
 
-def test_structural_regressor_named_twice_through_its_alias_is_a_data_error(capsys):
+def test_structural_regressor_named_twice_through_its_alias_is_an_estimation_error(capsys):
     argv = ["fit", *PANEL, "--conditional", "capital_output,capital_output_ratio"]
     code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (2, "", "convpanel: data error: structural regressors must be unique\n")
+    message = "structural regressor names must be unique"
+    assert (code, out, err) == (3, "", f"convpanel: estimation error: {message}\n")
+    # the library route meets the same check
+    with pytest.raises(EstimationError, match=f"^{message}$"):
+        run_methods(read_panel(PANEL[1], "simulated"), METHODS, ("capital_output_ratio",) * 2)
 
 
 def test_recovery_experiment_rejects_repeated_methods():
