@@ -65,28 +65,10 @@ def _add_output_flags(parser):
     parser.add_argument("--out", help="write output here instead of stdout")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
-def _replications(text: str) -> int:
-    """A replication count: one replication has no standard deviation."""
-    value = _positive_int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be a positive integer of at least 2, got {value}")
-    return value
-
-
 def _add_dgp_flags(parser):
     parser.add_argument("--seed", type=int, required=True, help="RNG seed (required)")
-    parser.add_argument("--regions", type=_positive_int, default=5)
-    parser.add_argument("--periods", type=_positive_int, default=9)
+    parser.add_argument("--regions", type=int, default=5)
+    parser.add_argument("--periods", type=int, default=9)
     parser.add_argument("--b-true", dest="b_true", type=float, default=-0.3)
     parser.add_argument("--intercept", type=float, default=0.0)
     parser.add_argument(
@@ -135,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     recover = sub.add_parser("recover", help="Monte Carlo estimator recovery")
     _add_dgp_flags(recover)
-    recover.add_argument("--reps", type=_replications, default=500)
+    recover.add_argument("--reps", type=int, default=500)
     recover.add_argument(
         "--methods",
         default="all",

@@ -105,14 +105,10 @@ def _invalid_components(sigma2_e: float, sigma2_u: float, theta: dict[str, float
 def _check_sample(sample: GrowthSample, spec: ModelSpec) -> None:
     if sample.row_count == 0:
         raise PanelDataError("growth sample is empty")
-    if spec.structural and sample.structural_names != spec.structural:
+    if sample.structural_names != spec.structural:
         raise PanelDataError(
             f"sample carries structural variables {sample.structural_names}, "
             f"spec asks for {spec.structural}"
-        )
-    if not spec.structural and sample.structural_names:
-        raise PanelDataError(
-            "absolute-convergence spec on a sample built with structural regressors"
         )
 
 

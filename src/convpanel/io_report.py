@@ -591,24 +591,23 @@ def _report_payload(sample: GrowthSample, fits: Sequence[FitResult]) -> dict:
     rows = []
     for fit in sorted(fits, key=lambda fit: METHODS.index(fit.method)):
         b = fit.coef(CONVERGENCE_LABEL)
-        exact = "exact_fit" in fit.flags  # its standard errors are rounding noise
-        t_stats = (None,) * len(fit.labels) if exact else fit.t_stats
-        classes = [NONE if t is None else classify(t, fit.df_residual) for t in t_stats]
+        exact = "exact_fit" in fit.flags  # no rate or half-life is read from an exact fit
+        classes = [NONE if t is None else classify(t, fit.df_residual) for t in fit.t_stats]
         significant = classes[fit.labels.index(CONVERGENCE_LABEL)] != NONE
         direction = CONVERGING if b < 0.0 else DIVERGING if b > 0.0 else INCONCLUSIVE
         row = {
             "method": fit.method,
             "estimates": {
                 label: {"value": value, "t": t, "stars": STARS[kind]}
-                for label, value, t, kind in zip(fit.labels, fit.coefficients, t_stats, classes)
+                for label, value, t, kind in zip(fit.labels, fit.coefficients, fit.t_stats, classes)
             },
             # an LSDV fit's labels start with its dummies D1..Dk, one per region
             "dummy_regions": dict(zip(fit.labels, sample.regions)) if fit.method == "lsdv" else {},
             "tc": None if exact else annual_rate(b),
             "half_life": None if exact else half_life(b),
             "verdict": direction if significant else INCONCLUSIVE,
-            "dw": None if exact else fit.dw,
-            "r2": 1.0 if exact else fit.r_squared,
+            "dw": fit.dw,
+            "r2": fit.r_squared,
             "df": fit.df_residual,
             "rows": sample.row_count,
             "cells": sample.source_cell_count,
@@ -662,27 +661,27 @@ def render_recovery(stats: RecoveryStats, fmt: str = "md") -> str:
     """Monte Carlo recovery summary, one row per estimation method.
 
     JSON rows also carry the Monte Carlo standard errors of the bias,
-    sd/sqrt(reps), and of the coverage share p, sqrt(p(1 - p)/reps).
+    sd/sqrt(reps), and of the coverage share p, sqrt(p(1 - p)/reps). A
+    method with an exact fit has no coverage: null, or a blank cell.
     """
     reps = stats.replications
-    rows = [
-        {
+    rows = []
+    for method in stats.methods:
+        p = stats.coverage[method]
+        rows.append({
             "method": method,
             "mean_estimate": stats.mean_estimate[method],
             "mean_bias": stats.mean_bias[method],
             "sd": stats.sd[method],
-            "coverage95": stats.coverage[method],
+            "coverage95": p,
             "bias_mc_se": stats.sd[method] / math.sqrt(reps),
-            "coverage_mc_se": math.sqrt(
-                stats.coverage[method] * (1.0 - stats.coverage[method]) / reps
-            ),
-        }
-        for method in stats.methods
-    ]
+            "coverage_mc_se": None if p is None else math.sqrt(p * (1.0 - p) / reps),
+        })
 
     def cells(row: dict) -> list[str]:
         numbers = [f"{row[key]:.6f}" for key in ("mean_estimate", "mean_bias", "sd")]
-        return [METHOD_TITLES[row["method"]], *numbers, f"{row['coverage95']:.3f}"]
+        coverage = "" if row["coverage95"] is None else f"{row['coverage95']:.3f}"
+        return [METHOD_TITLES[row["method"]], *numbers, coverage]
 
     payload = {"b_true": stats.b_true, "replications": stats.replications, "rows": rows}
     return _render(payload, fmt, ["Method", "Mean b", "Bias", "SD", "Coverage95"], cells)

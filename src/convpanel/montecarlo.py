@@ -34,7 +34,7 @@ from .errors import EstimationError, PanelDataError
 from .estimators import METHODS, ModelSpec
 from .estimators import fit_method as _fit  # the loop's seam: tests patch in a failing fit
 from .panel import CellGrid, GrowthSample, PanelDataset, growth_sample_from_logs
-from .regression import t_critical
+from .regression import _exact_fits, t_critical
 
 # Log-level cells (replications x regions x periods) in one block of
 # replications, which keeps each of a block's arrays to a few MB.
@@ -105,14 +105,7 @@ class RecoveryStats:
     mean_estimate: dict[str, float]
     mean_bias: dict[str, float]
     sd: dict[str, float]
-    coverage: dict[str, float]
-
-    def __post_init__(self):
-        if self.replications < 1:
-            raise EstimationError("at least one replication required")
-        for method, value in self.coverage.items():
-            if not 0.0 <= value <= 1.0:
-                raise EstimationError(f"coverage for {method} outside [0, 1]: {value}")
+    coverage: dict[str, float | None]
 
 
 def _axes(config: SimulationConfig) -> tuple[tuple[str, ...], tuple[int, ...]]:
@@ -229,24 +222,28 @@ def recovery_experiment(
     """Fit each method on ``replications`` simulated panels.
 
     Reports per-method mean bias of the convergence estimate, its
-    empirical standard deviation (0 for a single replication), and the
-    share of replications whose two-tailed 95% t-interval covers the
-    true value. 100+ replications are recommended for reported
+    empirical standard deviation, and the share of replications whose
+    two-tailed 95% t-interval covers the true value; that share is None
+    for a method with an exact fit in any replication, whose interval is
+    rounding noise. 100+ replications are recommended for reported
     statistics. Per-replication seeds derive from the base seed; the
     replications run in blocks, with one fit per method per block.
 
     Raises
     ------
     EstimationError
-        If any replication's fit fails; the message carries the
-        replication index. A block that fails is rerun one replication at
-        a time, and the first failure in replication order is reported:
-        within a replication its level check comes before its fits, which
-        come in ``methods`` order. A block whose replications all pass
-        alone is reported by its replication range.
+        If fewer than 2 replications are asked for, or if any
+        replication's fit fails; the message carries the replication
+        index. A block that fails is rerun one replication at a time, and
+        the first failure in replication order is reported: within a
+        replication its level check comes before its fits, which come in
+        ``methods`` order. A block whose replications all pass alone is
+        reported by its replication range.
     """
-    if replications < 1:
-        raise EstimationError("at least one replication required")
+    if replications < 2:
+        raise EstimationError(
+            f"at least 2 replications required, got {replications}: one has no standard deviation"
+        )
     methods = tuple(methods)
     specs = tuple(ModelSpec(method=method) for method in methods)  # rejects an unknown method
     if len(set(methods)) != len(methods):
@@ -255,6 +252,7 @@ def recovery_experiment(
     child_seeds = np.random.SeedSequence(config.seed).generate_state(replications, np.uint64)
     estimates = {method: np.empty(replications) for method in methods}
     covered = dict.fromkeys(methods, 0)
+    exact = set()
     size = max(1, _BLOCK_CELLS // (config.regions * config.periods))
     for first in range(0, replications, size):
         seeds = child_seeds[first : first + size]
@@ -272,6 +270,8 @@ def recovery_experiment(
             estimates[fits.method][first : first + len(b_hat)] = b_hat
             half_width = t_critical(fits.df_residual, 0.05) * fits.std_errors[:, column]
             covered[fits.method] += int(np.count_nonzero(np.abs(b_hat - config.b_true) <= half_width))
+            if _exact_fits(fits.sse, fits.df_residual, fits.response).any():
+                exact.add(fits.method)
 
     mean_estimate = {}
     mean_bias = {}
@@ -282,8 +282,8 @@ def recovery_experiment(
         mean = float(values.mean())
         mean_estimate[method] = mean
         mean_bias[method] = mean - config.b_true
-        sd[method] = float(values.std(ddof=1)) if replications > 1 else 0.0
-        coverage[method] = covered[method] / replications
+        sd[method] = float(values.std(ddof=1))
+        coverage[method] = None if method in exact else covered[method] / replications
     return RecoveryStats(
         b_true=config.b_true,
         replications=replications,

@@ -48,8 +48,8 @@ class DesignMatrix:
         if matrix.ndim != 2:
             raise EstimationError("design matrix must be two-dimensional")
         n, k = matrix.shape
-        if not (n >= k >= 1):
-            raise EstimationError(f"design needs n >= k >= 1, got n={n}, k={k}")
+        if k < 1:
+            raise EstimationError(f"design needs at least one column, got k={k}")
         if len(self.labels) != k:
             raise EstimationError("one label per design column required")
         if len(set(self.labels)) != k:
@@ -66,20 +66,20 @@ class FitResult:
     ``dw`` is None when the Durbin-Watson ratio is undefined (all
     residuals zero, or no region contributes two consecutive rows).
     ``xtx_inv`` is (X'X)^{-1} from the QR factor, so that s^2 times it
-    is the coefficient covariance; fits not made by
-    :func:`least_squares` may leave it None. ``flags`` holds
-    ``exact_fit`` when the residual variance is within rounding of zero:
-    the standard errors and t-ratios are then rounding noise.
+    is the coefficient covariance; an LSDV fit, whose region dummies are
+    absorbed, leaves it None. ``flags`` holds ``exact_fit`` when the
+    residual variance is within rounding of zero: the standard errors
+    are then rounding noise, every t-ratio and ``dw`` is None, and
+    ``r_squared`` is 1.
     """
 
     method: str
     labels: tuple[str, ...]
     coefficients: tuple[float, ...]
     std_errors: tuple[float, ...]
-    t_stats: tuple[float, ...]
+    t_stats: tuple[float | None, ...]
     residuals: np.ndarray
     sse: float
-    tss_centered: float
     r_squared: float
     df_residual: int
     dw: float | None
@@ -142,8 +142,11 @@ class _BlockFit:
         rows from one region: the grouping of :func:`_grouping`."""
         residuals = self.residuals[b]
         sse = float(self.sse[b])
-        tss, r2 = r_squared(sse, self.response[b])
-        exact = ("exact_fit",) if _exact_fits(self.sse[b], self.df_residual, self.response[b]) else ()
+        if _exact_fits(self.sse[b], self.df_residual, self.response[b]):  # the residuals are rounding noise
+            exact, t_stats, r2, dw = ("exact_fit",), (None,) * len(self.labels), 1.0, None
+        else:
+            exact, t_stats = (), t_ratios(self.coefficients[b], self.std_errors[b])
+            r2, dw = r_squared(sse, self.response[b]), _dw_ratio(residuals, order, within)
         xtx_inv = None if self.xtx_inv is None else self.xtx_inv[b]
         for array in (residuals, xtx_inv):
             if array is not None:
@@ -153,13 +156,12 @@ class _BlockFit:
             labels=self.labels,
             coefficients=tuple(self.coefficients[b].tolist()),
             std_errors=tuple(self.std_errors[b].tolist()),
-            t_stats=t_ratios(self.coefficients[b], self.std_errors[b]),
+            t_stats=t_stats,
             residuals=residuals,
             sse=sse,
-            tss_centered=tss,
             r_squared=r2,
             df_residual=self.df_residual,
-            dw=_dw_ratio(residuals, order, within),
+            dw=dw,
             flags=tuple(flag for flag, members in self.flags if members[b]) + exact,
             xtx_inv=xtx_inv,
         )
@@ -365,18 +367,13 @@ def _exact_fits(sse: np.ndarray, df: int, y: np.ndarray) -> np.ndarray:
     return sse / df <= 1e-24 * (1.0 + mean_square)
 
 
-def r_squared(sse: float, response: np.ndarray) -> tuple[float, float]:
-    """The TSS centered at the response mean, and 1 - SSE/TSS.
-
-    A constant response (TSS 0) counts as fully explained by a perfect
-    fit and not at all otherwise.
-    """
+def r_squared(sse: float, response: np.ndarray) -> float:
+    """1 - SSE/TSS, with the TSS centered at the response mean; 0 for a
+    constant response (TSS 0). An exact fit is not asked: its R-squared
+    is 1 (see :meth:`_BlockFit.member`)."""
     mean = float(response.sum() / response.size)  # what response.mean() computes
     tss = float(((response - mean) ** 2).sum())
-    if tss > 0.0:
-        return tss, float(1.0 - sse / tss)
-    n = response.size
-    return tss, 1.0 if sse <= 1e-12 * n * (1.0 + mean * mean) else 0.0
+    return float(1.0 - sse / tss) if tss > 0.0 else 0.0
 
 
 def durbin_watson(

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from convpanel.cli import main
+from convpanel.convergence import run_methods
+from convpanel.io_report import read_panel
 
 
 def run_cli(capsys, *argv):
@@ -199,6 +201,12 @@ def test_exact_fit_prints_no_t_ratios(tmp_path, capsys, method):
         for t in range(6)
     ), encoding="utf-8")
     argv = ("fit", "--input", str(path), "--sector", "s", "--method", method)
+
+    # the fit itself carries no noise numbers, whoever renders it
+    (fit,) = run_methods(read_panel(path, "s"), (method,))[1]
+    assert "exact_fit" in fit.flags
+    assert (fit.r_squared, fit.dw) == (1.0, None)
+    assert all(t is None for t in fit.t_stats)
 
     code, out, err = run_cli(capsys, *argv, "--format", "json")
     assert (code, err) == (0, "")

@@ -95,22 +95,33 @@ def test_location_quotient_out_of_range_is_a_data_error(tmp_path, capsys, argv):
     assert err.startswith("convpanel: data error: location quotient out of floating-point range")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("recover", "--seed", "1", "--reps", "0"),
-        ("recover", "--seed", "1", "--reps", "-5"),
-        ("recover", "--seed", "1", "--regions", "0"),
-        ("recover", "--seed", "1", "--periods", "-1"),
-        ("recover", "--seed", "1", "--reps", "many"),
-        ("simulate", "--seed", "1", "--regions", "0"),
-        ("recover", "--seed", "1", "--reps", "1"),  # one replication has no spread
-    ],
-)
+REPS = "convpanel: estimation error: at least 2 replications required, got {}: one has no standard deviation"
+
+# argv: exit code and the last stderr line. A count that parses is checked
+# by its owner (SimulationConfig, recovery_experiment), in that one line;
+# only an unparsable count is a usage error, printed after argparse's usage.
+BAD_COUNTS = {
+    ("recover", "--seed", "1", "--reps", "0"): (3, REPS.format(0)),
+    ("recover", "--seed", "1", "--reps", "-5"): (3, REPS.format(-5)),
+    ("recover", "--seed", "1", "--regions", "0"): (2, "convpanel: data error: need at least 2 regions, got 0"),
+    ("recover", "--seed", "1", "--periods", "-1"): (2, "convpanel: data error: need at least 3 periods, got -1"),
+    ("recover", "--seed", "1", "--reps", "many"): (
+        1, "convpanel recover: error: argument --reps: invalid int value: 'many'"
+    ),
+    ("simulate", "--seed", "1", "--regions", "0"): (2, "convpanel: data error: need at least 2 regions, got 0"),
+    ("recover", "--seed", "1", "--reps", "1"): (3, REPS.format(1)),  # one replication has no spread
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_COUNTS))
 def test_nonpositive_counts_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
-    assert code == 1 and out == ""
-    assert "positive integer" in err or "invalid integer" in err
+    want_code, line = BAD_COUNTS[argv]
+    assert (code, out) == (want_code, "")
+    if code == 1:
+        assert err.startswith("usage: convpanel recover") and err.endswith(f"\n{line}\n")
+    else:
+        assert err == f"{line}\n"
 
 
 def test_fit_all_warns_once_per_single_row_region(tmp_path, capsys):

@@ -86,8 +86,10 @@ class TestPooled:
 
     def test_spec_sample_mismatch(self):
         sample = conditional_sample()
-        with pytest.raises(PanelDataError, match="absolute-convergence spec"):
+        names = sample.structural_names
+        with pytest.raises(PanelDataError) as raised:
             fit_pooled(sample, ModelSpec())
+        assert str(raised.value) == f"sample carries structural variables {names}, spec asks for ()"
 
 
 class TestLsdv:

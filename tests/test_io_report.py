@@ -377,7 +377,6 @@ class TestRenderReport:
             t_stats=(1.200, -1.163),
             residuals=np.zeros(40),
             sse=1.0,
-            tss_centered=1.05,
             r_squared=0.034,
             df_residual=38,
             dw=1.851,

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from convpanel.errors import PanelDataError
-from convpanel.montecarlo import RecoveryStats, SimulationConfig, recovery_experiment, simulate_panel
+from convpanel.errors import EstimationError, PanelDataError
+from convpanel.montecarlo import SimulationConfig, recovery_experiment, simulate_panel
 from convpanel.panel import build_growth_sample
 
 
@@ -86,19 +86,37 @@ class TestSimulatePanel:
 class TestRecoveryExperiment:
     def test_single_replication_identity(self):
         config = SimulationConfig(seed=13, regions=5, periods=9, b_true=-0.3)
-        stats = recovery_experiment(config, 1, ("pooled",))
-        assert stats.replications == 1
-        assert stats.sd["pooled"] == 0.0
-        assert stats.coverage["pooled"] in (0.0, 1.0)
-        # the single estimate must equal a direct fit on the derived seed
-        child = np.random.SeedSequence(13).generate_state(1, np.uint64)[0]
+        stats = recovery_experiment(config, 2, ("pooled",))
+        assert stats.replications == 2
+        assert stats.coverage["pooled"] in (0.0, 0.5, 1.0)
+        # the mean estimate is the mean of direct fits on the derived seeds
         from dataclasses import replace
 
         from convpanel.estimators import ModelSpec, fit_pooled
 
-        panel = simulate_panel(replace(config, seed=int(child)))
-        fit = fit_pooled(build_growth_sample(panel), ModelSpec())
-        assert stats.mean_estimate["pooled"] == pytest.approx(fit.coef("Coef.1"), abs=1e-15)
+        children = np.random.SeedSequence(13).generate_state(2, np.uint64)
+        samples = (build_growth_sample(simulate_panel(replace(config, seed=int(c)))) for c in children)
+        b = [fit_pooled(sample, ModelSpec()).coef("Coef.1") for sample in samples]
+        assert stats.mean_estimate["pooled"] == pytest.approx((b[0] + b[1]) / 2, abs=1e-15)
+        # one replication has no standard deviation
+        with pytest.raises(EstimationError, match="at least 2 replications required, got 1"):
+            recovery_experiment(config, 1, ("pooled",))
+
+    def test_exact_fits_have_no_coverage(self):
+        # noise-free panels fit exactly: each interval is rounding noise, so
+        # no coverage is reported, while the mean, bias and SD are kept
+        import json
+
+        from convpanel.io_report import render_recovery
+
+        config = SimulationConfig(seed=1, regions=5, periods=9, b_true=-0.3, noise_sd=1e-200)
+        stats = recovery_experiment(config, 20, ("pooled", "lsdv"))
+        assert stats.coverage == {"pooled": None, "lsdv": None}
+        assert stats.mean_bias == pytest.approx({"pooled": 0.0, "lsdv": 0.0}, abs=1e-15)
+        rows = json.loads(render_recovery(stats, "json"))["rows"]
+        assert [(row["coverage95"], row["coverage_mc_se"]) for row in rows] == [(None, None)] * 2
+        table = render_recovery(stats, "tsv").splitlines()
+        assert table[1:] == ["Pooling\t-0.300000\t0.000000\t0.000000\t", "LSDV\t-0.300000\t0.000000\t0.000000\t"]
 
     def test_deterministic_across_calls(self):
         config = SimulationConfig(seed=21, regions=5, periods=9, b_true=-0.3)
@@ -158,18 +176,3 @@ class TestRecoveryExperiment:
         config = SimulationConfig(seed=1, regions=5, periods=9, b_true=-0.3)
         with pytest.raises(EstimationError, match="replication 3"):
             recovery_experiment(config, 10, ("pooled",))
-
-
-def test_recovery_stats_validation():
-    from convpanel.errors import EstimationError
-
-    with pytest.raises(EstimationError):
-        RecoveryStats(
-            b_true=-0.3,
-            replications=0,
-            methods=("pooled",),
-            mean_estimate={},
-            mean_bias={},
-            sd={},
-            coverage={},
-        )

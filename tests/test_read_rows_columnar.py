@@ -557,7 +557,6 @@ def test_non_finite_values_render_as_null():
         t_stats=(math.nan, -math.inf),
         residuals=np.zeros(12),
         sse=0.0,
-        tss_centered=1.0,
         r_squared=1.0,
         df_residual=10,
         dw=None,
