@@ -34,7 +34,7 @@ from .regression import (
     FitResult,
     _BlockFit,
     _check_norms,
-    _exact_fits,
+    _consecutive,
     _fail,
     _rank_fit,
     _solve,
@@ -71,7 +71,9 @@ class VarianceComponents:
     ``theta`` maps each region to its quasi-demeaning weight
     theta_i = 1 - sqrt(sigma2_e / (T_i sigma2_u + sigma2_e)), which is 0
     when the region-effect variance estimate is 0 and approaches 1 as
-    T_i sigma2_u dominates. ``truncated`` records that the moment
+    T_i sigma2_u dominates. On an exact panel, whose within (LSDV) fit
+    leaves sigma2_e within rounding of zero, theta is 1 for every region
+    and GLS is the within fit. ``truncated`` records that the moment
     estimator of sigma2_u came out negative and was clipped to zero;
     ``between_df`` of 0 means the between regression fit its region
     means exactly, leaving no information about sigma2_u (which is then
@@ -83,23 +85,6 @@ class VarianceComponents:
     theta: dict[str, float]
     truncated: bool = False
     between_df: int = 1
-
-    def __post_init__(self):
-        error = _invalid_components(self.sigma2_e, self.sigma2_u, self.theta)
-        if error is not None:
-            raise error
-
-
-def _invalid_components(sigma2_e: float, sigma2_u: float, theta: dict[str, float]) -> EstimationError | None:
-    """The first reason these variance components are invalid, if any."""
-    if not sigma2_e > 0.0:
-        return EstimationError(f"idiosyncratic variance must be positive, got {sigma2_e!r}")
-    if sigma2_u < 0.0:
-        return EstimationError(f"region-effect variance cannot be negative: {sigma2_u!r}")
-    for region, value in theta.items():
-        if not 0.0 <= value < 1.0:
-            return EstimationError(f"theta for region {region!r} outside [0, 1): {value!r}")
-    return None
 
 
 def _check_sample(sample: GrowthSample, spec: ModelSpec) -> None:
@@ -115,8 +100,8 @@ def _check_sample(sample: GrowthSample, spec: ModelSpec) -> None:
 def _result(sample: GrowthSample, fits: _BlockFit) -> FitResult | _BlockFit:
     """A single sample's fit as a FitResult, its rows (grouped by region in
     year order) taken as they are for Durbin-Watson; a block's fits as they are."""
-    code = sample.rows.code
-    return fits if sample.batched else fits.member(0, slice(None), code[1:] == code[:-1])
+    rows = sample.rows
+    return fits if sample.batched else fits.member(0, slice(None), _consecutive(rows.code, rows.year))
 
 
 def fit_pooled(sample: GrowthSample, spec: ModelSpec) -> FitResult | _BlockFit:
@@ -133,15 +118,17 @@ def fit_pooled(sample: GrowthSample, spec: ModelSpec) -> FitResult | _BlockFit:
     return _result(sample, _solve(X, sample.y, labels, "pooled"))
 
 
-def _within_fit(sample: GrowthSample, spec: ModelSpec) -> _BlockFit:
-    """The slope block fitted on region-demeaned data (Frisch-Waugh-Lovell).
+def _lsdv_fit(sample: GrowthSample, spec: ModelSpec) -> _BlockFit:
+    """LSDV's fits (see :func:`fit_lsdv`), whose residual variance and
+    exact flag are GLS's too. Built once per sample and kept in
+    ``sample.fits``.
 
-    Its slopes and residuals are those of LSDV; its df and standard errors
-    ignore the R absorbed region means. Computed once per sample and kept
-    in ``sample.fits`` for LSDV and GLS.
+    The slopes come from the within fit on region-demeaned data
+    (Frisch-Waugh-Lovell), whose df and standard errors ignore the R
+    absorbed region means; LSDV's df is n - R - slopes.
     """
-    if "within" in sample.fits:
-        return sample.fits["within"]
+    if "lsdv" in sample.fits:
+        return sample.fits["lsdv"]
     counts = sample.region_counts
     if not counts.all():
         raise RankDeficientError(f"D{np.flatnonzero(counts == 0)[0] + 1}")
@@ -159,8 +146,26 @@ def _within_fit(sample: GrowthSample, spec: ModelSpec) -> _BlockFit:
     _fail(absorbed.any(axis=1), lambda b: RankDeficientError(
         spec.slope_labels[int(np.argmax(absorbed[b]))]
     ))
-    fit = _solve(slopes_within, y_within, spec.slope_labels, "lsdv")
-    sample.fits["within"] = fit
+    within = _solve(slopes_within, y_within, spec.slope_labels, "lsdv")
+    df = n - r - k
+    s2 = within.sse / df
+    b = within.coefficients
+    cov_b = s2[:, None, None] * within.xtx_inv
+    means_y, means_x = sample.region_means()
+    alpha = means_y - np.matmul(means_x, b[:, :, None])[..., 0]
+    se_alpha = np.sqrt(s2[:, None] / counts + (np.matmul(means_x, cov_b) * means_x).sum(axis=-1))
+    coefficients = np.concatenate([alpha, b], axis=1)
+    std_errors = np.concatenate([se_alpha, np.sqrt(cov_b.diagonal(0, 1, 2))], axis=1)
+    labels = tuple(f"D{i + 1}" for i in range(r)) + within.labels
+    flags = tuple(
+        (f"single_row_region:{region}", np.ones(sample.members, dtype=bool))
+        for region, count in zip(sample.regions, counts.tolist()) if count == 1
+    )
+    fit = _BlockFit(
+        "lsdv", labels, coefficients, std_errors, within.residuals, within.sse, df, s2,
+        sample.y.reshape(-1, sample.row_count), None, flags,
+    )
+    sample.fits["lsdv"] = fit
     return fit
 
 
@@ -176,43 +181,28 @@ def fit_lsdv(sample: GrowthSample, spec: ModelSpec) -> FitResult | _BlockFit:
     flag.
     """
     _check_sample(sample, spec)
-    within = _within_fit(sample, spec)
-    counts = sample.region_counts
-    df = within.df_residual - counts.size
-    s2 = within.sse / df
-    b = within.coefficients
-    cov_b = s2[:, None, None] * within.xtx_inv
-    means_y, means_x = sample.region_means()
-    alpha = means_y - np.matmul(means_x, b[:, :, None])[..., 0]
-    se_alpha = np.sqrt(s2[:, None] / counts + (np.matmul(means_x, cov_b) * means_x).sum(axis=-1))
-    coefficients = np.concatenate([alpha, b], axis=1)
-    std_errors = np.concatenate([se_alpha, np.sqrt(cov_b.diagonal(0, 1, 2))], axis=1)
-
-    single = [region for region, count in zip(sample.regions, counts.tolist()) if count == 1]
-    for region in single:
-        warnings.warn(f"region {region!r} contributes a single row; its dummy absorbs it", stacklevel=2)
-    labels = tuple(f"D{i + 1}" for i in range(counts.size)) + within.labels
-    flags = tuple((f"single_row_region:{region}", np.ones(sample.members, dtype=bool)) for region in single)
-    return _result(sample, _BlockFit(
-        "lsdv", labels, coefficients, std_errors, within.residuals, within.sse, df,
-        sample.y.reshape(-1, sample.row_count), None, flags,
-    ))
+    fit = _lsdv_fit(sample, spec)
+    for flag, _ in fit.flags:
+        name, _, region = flag.partition(":")
+        if name == "single_row_region":
+            warnings.warn(f"region {region!r} contributes a single row; its dummy absorbs it", stacklevel=2)
+    return _result(sample, fit)
 
 
 def _variance_components(sample: GrowthSample, spec: ModelSpec) -> tuple:
     """sigma2_e, sigma2_u, theta (members x regions), truncated and
     between_df of each member of ``sample``; see
     :func:`estimate_variance_components` for the formulas."""
-    _check_sample(sample, spec)
-    within = _within_fit(sample, spec)
-    counts = sample.region_counts
-    r = counts.size
-    sigma2_e = within.sse / (within.df_residual - r)
-    degenerate = _exact_fits(within.sse, within.df_residual - r, sample.y.reshape(-1, sample.row_count))
-    _fail(degenerate, lambda b: EstimationError(
-        "degenerate panel: within fit is (numerically) exact, idiosyncratic variance is zero"
+    lsdv = _lsdv_fit(sample, spec)
+    sigma2_e = lsdv.residual_variance
+    exact = dict(lsdv.flags)["exact_fit"]
+    # an exact fit aside, sigma2_e is positive unless it is NaN (a NaN response)
+    _fail(~(exact | (sigma2_e > 0.0)), lambda b: EstimationError(
+        f"idiosyncratic variance must be positive, got {sigma2_e[b].item()!r}"
     ))
 
+    counts = sample.region_counts
+    r = counts.size
     means_y, means_x = sample.region_means()
     k_between = means_x.shape[-1] + 1
     if r < k_between:
@@ -229,13 +219,13 @@ def _variance_components(sample: GrowthSample, spec: ModelSpec) -> tuple:
     sigma2_u = sigma2_between - sigma2_e / t_harmonic
     truncated = sigma2_u < 0.0
     sigma2_u = np.maximum(sigma2_u, 0.0)
-    theta = 1.0 - np.sqrt(sigma2_e[:, None] / (counts * sigma2_u[:, None] + sigma2_e[:, None]))
-    # what VarianceComponents checks: sigma2_u >= 0 and theta >= 0 follow
-    # from sigma2_e > 0, and a NaN fails both tests here
-    valid = (sigma2_e > 0.0) & np.logical_and.reduce(theta < 1.0, axis=1)
-    _fail(~valid, lambda b: _invalid_components(
-        sigma2_e[b].item(), sigma2_u[b].item(), dict(zip(sample.regions, theta[b].tolist()))
-    ))
+    # an exact within fit leaves no idiosyncratic variance to weigh: theta
+    # is 1, and GLS is the within fit
+    theta = np.ones((len(exact), r))
+    noisy = ~exact
+    theta[noisy] = 1.0 - np.sqrt(
+        sigma2_e[noisy, None] / (counts * sigma2_u[noisy, None] + sigma2_e[noisy, None])
+    )
     return sigma2_e, sigma2_u, theta, truncated, between_df
 
 
@@ -248,10 +238,12 @@ def estimate_variance_components(sample: GrowthSample, spec: ModelSpec) -> Varia
     of freedom, estimates sigma2_u + sigma2_e / T, so sigma2_u is
     recovered by subtracting sigma2_e over the harmonic mean of the
     region sizes (exact for balanced panels) and truncating at zero.
+    Where the within fit is exact, theta is 1 for every region.
     ``sample`` is a single sample.
     """
     if sample.batched:
         raise EstimationError("variance components are reported for a single sample, not a block")
+    _check_sample(sample, spec)
     sigma2_e, sigma2_u, theta, truncated, between_df = _variance_components(sample, spec)
     return VarianceComponents(
         sigma2_e[0].item(), sigma2_u[0].item(), dict(zip(sample.regions, theta[0].tolist())),
@@ -270,7 +262,9 @@ def fit_gls_random_effects(
     the response and each slope column, and the intercept column becomes
     1 - theta_i; OLS on the transformed data is the GLS estimate, with
     degrees of freedom n - (1 + slopes). With sigma2_u estimated at 0
-    the transform is the identity and the fit equals pooled OLS.
+    the transform is the identity and the fit equals pooled OLS. Where
+    the within fit is exact, theta is 1: the fit is the within fit, its
+    intercept dropped, and exact too.
 
     ``theta_override`` is a test hook that fixes a common theta for all
     regions, skipping the variance-component step. Overriding with 1.0

@@ -34,7 +34,7 @@ from .errors import EstimationError, PanelDataError
 from .estimators import METHODS, ModelSpec
 from .estimators import fit_method as _fit  # the loop's seam: tests patch in a failing fit
 from .panel import CellGrid, GrowthSample, PanelDataset, growth_sample_from_logs
-from .regression import _exact_fits, t_critical
+from .regression import t_critical
 
 # Log-level cells (replications x regions x periods) in one block of
 # replications, which keeps each of a block's arrays to a few MB.
@@ -270,7 +270,7 @@ def recovery_experiment(
             estimates[fits.method][first : first + len(b_hat)] = b_hat
             half_width = t_critical(fits.df_residual, 0.05) * fits.std_errors[:, column]
             covered[fits.method] += int(np.count_nonzero(np.abs(b_hat - config.b_true) <= half_width))
-            if _exact_fits(fits.sse, fits.df_residual, fits.response).any():
+            if dict(fits.flags)["exact_fit"].any():
                 exact.add(fits.method)
 
     mean_estimate = {}

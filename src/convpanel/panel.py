@@ -200,11 +200,11 @@ class GrowthSample:
     the transition rows).
 
     ``fits`` holds fits derived from the sample, so that estimators
-    sharing one (the within fit behind LSDV and GLS) compute it once;
-    it takes no part in construction, equality or ``replace``. The
-    region counts and region means are likewise computed once, on first
-    use, and shared by the within fit, LSDV, the variance components
-    and GLS.
+    sharing one (LSDV's fit, whose residual variance GLS reads) compute
+    it once; it takes no part in construction, equality or ``replace``.
+    The region counts and region means are likewise computed once, on
+    first use, and shared by the within fit, LSDV, the variance
+    components and GLS.
 
     A block sample stacks B members (Monte Carlo replications) on one
     set of rows: its ``rows.data`` has a leading member axis, and ``y``,

@@ -6,8 +6,8 @@ oracles only). It fits a block of members that share a design shape at
 once, as Monte Carlo replications do; :func:`least_squares` on a
 labeled design matrix is its one-member case. A fit reports classical
 homoskedastic standard errors, a centered-TSS R-squared, and a
-panel-aware Durbin-Watson statistic whose first differences never cross
-region boundaries. Critical values invert the
+panel-aware Durbin-Watson statistic whose first differences pair only
+consecutive years of one region. Critical values invert the
 regularized incomplete beta function. The module needs numpy and the
 standard library only.
 """
@@ -64,7 +64,7 @@ class FitResult:
     """Least-squares estimates with the quantities the reports need.
 
     ``dw`` is None when the Durbin-Watson ratio is undefined (all
-    residuals zero, or no region contributes two consecutive rows).
+    residuals zero, or no region has rows in two consecutive years).
     ``xtx_inv`` is (X'X)^{-1} from the QR factor, so that s^2 times it
     is the coefficient covariance; an LSDV fit, whose region dummies are
     absorbed, leaves it None. ``flags`` holds ``exact_fit`` when the
@@ -120,9 +120,13 @@ def least_squares(design: DesignMatrix, y: Sequence[float], method: str = "poole
 @dataclass(frozen=True)
 class _BlockFit:
     """Least-squares fits of a block of members that share one design
-    shape: every array leads with the member axis. ``flags`` pairs each
-    flag with the members it applies to, and ``response`` is what
-    R-squared is centered on.
+    shape: every array leads with the member axis. ``residual_variance``
+    is each member's s^2, ``sse`` over ``df_residual``, from which its
+    standard errors were built. ``flags`` pairs
+    each flag with the members it applies to, and ``response`` is what
+    R-squared is centered on. The record decides once, when it is built,
+    which members are exact fits (see :func:`_exact_fits`): its last flag
+    is ``exact_fit``.
     """
 
     method: str
@@ -132,20 +136,27 @@ class _BlockFit:
     residuals: np.ndarray
     sse: np.ndarray
     df_residual: int
+    residual_variance: np.ndarray
     response: np.ndarray
     xtx_inv: np.ndarray | None
     flags: tuple[tuple[str, np.ndarray], ...] = ()
 
+    def __post_init__(self):
+        exact = _exact_fits(self.residual_variance, self.response)
+        object.__setattr__(self, "flags", self.flags + (("exact_fit", exact),))
+
     def member(self, b: int, order: slice | np.ndarray, within: np.ndarray) -> FitResult:
         """Member ``b`` as a FitResult, its Durbin-Watson statistic taken
         over the residuals in ``order`` where ``within`` marks a pair of
-        rows from one region: the grouping of :func:`_grouping`."""
+        rows that are consecutive years of one region: the grouping of
+        :func:`_grouping`."""
         residuals = self.residuals[b]
         sse = float(self.sse[b])
-        if _exact_fits(self.sse[b], self.df_residual, self.response[b]):  # the residuals are rounding noise
-            exact, t_stats, r2, dw = ("exact_fit",), (None,) * len(self.labels), 1.0, None
+        flags = tuple(flag for flag, members in self.flags if members[b])
+        if "exact_fit" in flags:  # the residuals are rounding noise
+            t_stats, r2, dw = (None,) * len(self.labels), 1.0, None
         else:
-            exact, t_stats = (), t_ratios(self.coefficients[b], self.std_errors[b])
+            t_stats = t_ratios(self.coefficients[b], self.std_errors[b])
             r2, dw = r_squared(sse, self.response[b]), _dw_ratio(residuals, order, within)
         xtx_inv = None if self.xtx_inv is None else self.xtx_inv[b]
         for array in (residuals, xtx_inv):
@@ -162,7 +173,7 @@ class _BlockFit:
             r_squared=r2,
             df_residual=self.df_residual,
             dw=dw,
-            flags=tuple(flag for flag, members in self.flags if members[b]) + exact,
+            flags=flags,
             xtx_inv=xtx_inv,
         )
 
@@ -219,9 +230,10 @@ def _solve(
     residuals = y - np.matmul(X, beta[:, :, None])[:, :, 0]
     sse = np.matmul(residuals[:, None, :], residuals[:, :, None])[:, 0, 0]
     df = n - k
+    s2 = sse / df
     xtx_inv = np.matmul(r_inv, r_inv.transpose(0, 2, 1))
-    std_errors = np.sqrt((sse / df)[:, None] * xtx_inv.diagonal(0, 1, 2))
-    return _BlockFit(method, tuple(labels), beta, std_errors, residuals, sse, df, y, xtx_inv, flags)
+    std_errors = np.sqrt(s2[:, None] * xtx_inv.diagonal(0, 1, 2))
+    return _BlockFit(method, tuple(labels), beta, std_errors, residuals, sse, df, s2, y, xtx_inv, flags)
 
 
 def _rank_fit(X: np.ndarray, y: np.ndarray, labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -358,13 +370,13 @@ def t_ratios(coefficients: np.ndarray, std_errors: np.ndarray) -> tuple[float, .
     return tuple(t.tolist())
 
 
-def _exact_fits(sse: np.ndarray, df: int, y: np.ndarray) -> np.ndarray:
-    """Which fits are exact: their residual variance, ``sse / df``, is
-    within rounding of zero next to the mean square of their response
-    ``y`` (n, or members x n), so that their standard errors and t-ratios
-    are rounding noise."""
-    mean_square = np.matmul(y[..., None, :], y[..., :, None])[..., 0, 0] / y.shape[-1]
-    return sse / df <= 1e-24 * (1.0 + mean_square)
+def _exact_fits(s2: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Which fits are exact: their residual variance ``s2`` is within
+    rounding of zero next to the mean square of their response ``y``
+    (members x n), so that their standard errors and t-ratios are
+    rounding noise."""
+    mean_square = np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0] / y.shape[-1]
+    return s2 <= 1e-24 * (1.0 + mean_square)
 
 
 def r_squared(sse: float, response: np.ndarray) -> float:
@@ -385,9 +397,10 @@ def durbin_watson(
 
     Residuals are grouped by region and ordered by year within each
     group (see :func:`_grouping`); squared first differences are summed
-    only within a group, so adjacent rows of different regions never
-    interact. Returns None when the ratio is undefined: all residuals
-    zero, or no region has two rows.
+    only over consecutive years of one region, so adjacent rows of
+    different regions, or either side of a gap in a region's years,
+    never interact. Returns None when the ratio is undefined: all
+    residuals zero, or no region has rows in two consecutive years.
     """
     res = np.asarray(residuals, dtype=float)
     if res.ndim != 1 or len(regions) != res.size or len(years) != res.size:
@@ -397,18 +410,24 @@ def durbin_watson(
 
 def _grouping(regions, years) -> tuple[np.ndarray, np.ndarray]:
     """The row order that groups rows by region and puts each group in
-    year order, and which pairs of adjacent rows in that order come from
-    one region."""
+    year order, and which pairs of adjacent rows in that order are
+    consecutive years of one region."""
     codes = np.unique(np.asarray(regions), return_inverse=True)[1].reshape(-1)
-    order = np.lexsort((np.asarray(years), codes))
-    codes = codes[order]
-    return order, codes[1:] == codes[:-1]
+    years = np.asarray(years)
+    order = np.lexsort((years, codes))
+    return order, _consecutive(codes[order], years[order])
+
+
+def _consecutive(codes: np.ndarray, years: np.ndarray) -> np.ndarray:
+    """Which pairs of adjacent rows, grouped by region in year order, are
+    consecutive years of one region: the pairs Durbin-Watson differences."""
+    return (codes[1:] == codes[:-1]) & (years[1:] - years[:-1] == 1)
 
 
 def _dw_ratio(residuals: np.ndarray, order: slice | np.ndarray, within: np.ndarray) -> float | None:
     """Squared first differences of ``residuals[order]`` where ``within``
-    marks a pair of rows from one region, over the residuals' sum of
-    squares; None when that sum is 0 or no pair is marked."""
+    marks a pair of consecutive years of one region, over the residuals'
+    sum of squares; None when that sum is 0 or no pair is marked."""
     denominator = float(residuals @ residuals)
     if denominator == 0.0 or not within.any():
         return None

@@ -127,7 +127,7 @@ def test_wide_panel_fits_without_the_dummy_design():
 
 
 def loop_durbin_watson(residuals, regions, years):
-    """Per-region squared first differences in year order, summed in a loop."""
+    """Per-region squared first differences of consecutive years, summed in a loop."""
     groups = {}
     for i, region in enumerate(regions):
         groups.setdefault(region, []).append(i)
@@ -135,8 +135,9 @@ def loop_durbin_watson(residuals, regions, years):
     for indices in groups.values():
         ordered = sorted(indices, key=lambda i: years[i])
         for a, b in zip(ordered, ordered[1:]):
-            numerator += (residuals[b] - residuals[a]) ** 2
-            pairs += 1
+            if years[b] - years[a] == 1:
+                numerator += (residuals[b] - residuals[a]) ** 2
+                pairs += 1
     return numerator / float(np.dot(residuals, residuals)) if pairs else None
 
 
@@ -151,6 +152,7 @@ def test_grouped_durbin_watson_matches_loop(seed):
 
 
 def test_grouped_durbin_watson_differences_across_year_gaps():
-    # residuals [1, 1, -1, -1] at 2001, 2002, 2006, 2007, given out of order
-    assert durbin_watson([-1.0, 1.0, -1.0, 1.0], ["a"] * 4, [2007, 2001, 2006, 2002]) == 1.0
+    # residuals [1, 1, -1, -1] at 2001, 2002, 2006, 2007, given out of order:
+    # 2002 and 2006 are not consecutive years, so only equal residuals are differenced
+    assert durbin_watson([-1.0, 1.0, -1.0, 1.0], ["a"] * 4, [2007, 2001, 2006, 2002]) == 0.0
     assert durbin_watson([1.0, 2.0], ["a", "b"], [2001, 2002]) is None

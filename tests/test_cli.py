@@ -223,3 +223,30 @@ def test_exact_fit_prints_no_t_ratios(tmp_path, capsys, method):
     assert not any("(" in cell or "*" in cell for cell in estimates)
     assert estimates[-1] == "0.000"  # Coef.1, rounding noise of either sign, prints unsigned
     assert cells[-4:] == ["", "", "1.000", str(row["df"])]
+
+
+def test_default_fit_on_an_exact_panel_prints_exact_rows(tmp_path, capsys):
+    # the exact panel above, every method: GLS's within fit is exact, so theta
+    # is 1 and its row is the within fit, its intercept dropped
+    path = tmp_path / "exact.csv"
+    path.write_text("region,year,sector,output_per_worker\n" + "".join(
+        f"{region},{2000 + t},s,{base * 1.05 ** t!r}\n"
+        for region, base in (("a", 100.0), ("b", 80.0), ("c", 60.0))
+        for t in range(6)
+    ), encoding="utf-8")
+    _, (pooled, lsdv, gls) = run_methods(read_panel(path, "s"), ("pooled", "lsdv", "gls"))
+    assert gls.labels == ("Coef.1",) and {"intercept_dropped", "exact_fit"} <= set(gls.flags)
+    assert gls.coefficients == lsdv.coefficients[-1:]
+    assert all("exact_fit" in fit.flags for fit in (pooled, lsdv))
+
+    outputs = {}
+    for fmt in ("md", "tsv", "json"):
+        code, outputs[fmt], err = run_cli(capsys, "fit", "--input", str(path), "--sector", "s", "--format", fmt)
+        assert (code, err) == (0, "")
+    rows = json.loads(outputs["json"])["rows"]
+    assert [row["method"] for row in rows] == ["pooled", "lsdv", "gls"]
+    for row in rows:
+        assert all(estimate["t"] is None for estimate in row["estimates"].values())
+        assert (row["dw"], row["r2"], row["verdict"]) == (None, 1.0, "inconclusive")
+    assert outputs["tsv"].splitlines()[-1] == "GLS\t\t\t\t\t0.000\t\t\t1.000\t14"
+    assert outputs["md"].splitlines()[-1] == "| GLS |  |  |  |  | 0.000 |  |  | 1.000 | 14 |"

@@ -114,7 +114,7 @@ BAD_COUNTS = {
 
 
 @pytest.mark.parametrize("argv", list(BAD_COUNTS))
-def test_nonpositive_counts_are_usage_errors(capsys, argv):
+def test_each_bad_count_exits_with_its_owners_code(capsys, argv):
     code, out, err = run(capsys, *argv)
     want_code, line = BAD_COUNTS[argv]
     assert (code, out) == (want_code, "")

@@ -4,7 +4,6 @@ import pytest
 from convpanel.errors import EstimationError, PanelDataError
 from convpanel.estimators import (
     ModelSpec,
-    VarianceComponents,
     estimate_variance_components,
     fit_gls_random_effects,
     fit_lsdv,
@@ -207,8 +206,8 @@ class TestGls:
             fit_gls_random_effects(sample, ModelSpec(method="gls", structural=names))
 
     def test_degenerate_zero_variance_errors(self):
-        # exact linear growth per region: the within fit is perfect and the
-        # idiosyncratic variance cannot be estimated
+        # exact linear growth per region: the within fit is perfect, so theta
+        # is 1 and GLS prints the within fit as an exact row
         from convpanel.panel import GrowthColumns, GrowthSample
 
         x = np.tile([1.0, -1.0, 3.0], 2)
@@ -218,8 +217,14 @@ class TestGls:
             np.column_stack([effect + 1.0 * x, x]),
         )
         sample = GrowthSample(rows, (), ("a", "b"), "x", 0, 8)
-        with pytest.raises(EstimationError, match="degenerate"):
-            fit_gls_random_effects(sample, ModelSpec(method="gls"))
+        spec = ModelSpec(method="gls")
+        assert estimate_variance_components(sample, spec).theta == {"a": 1.0, "b": 1.0}
+        gls = fit_gls_random_effects(sample, spec)
+        assert gls.labels == ("Coef.1",)
+        assert gls.coef("Coef.1") == pytest.approx(1.0, rel=1e-12)
+        assert gls.coefficients == fit_gls_random_effects(sample, spec, theta_override=1.0).coefficients
+        assert (gls.t_stats, gls.dw, gls.r_squared) == ((None,), None, 1.0)
+        assert {"intercept_dropped", "exact_fit"} <= set(gls.flags)
 
     def test_between_df_counts_the_rank_of_a_deficient_design(self):
         # a time trend common to every region has the same mean in each,
@@ -249,10 +254,13 @@ class TestGls:
 
 
 def test_variance_components_validation():
-    with pytest.raises(EstimationError, match="positive"):
-        VarianceComponents(sigma2_e=0.0, sigma2_u=0.1, theta={})
-    with pytest.raises(EstimationError, match="outside"):
-        VarianceComponents(sigma2_e=1.0, sigma2_u=0.1, theta={"a": 1.0})
+    # a NaN response leaves no positive idiosyncratic variance; a theta
+    # outside [0, 1) cannot follow from a positive one, so nothing else is checked
+    sample = simulated_sample(seed=7)
+    sample.rows.data[4, 0] = np.nan
+    for estimate in (estimate_variance_components, fit_gls_random_effects):
+        with pytest.raises(EstimationError, match="idiosyncratic variance must be positive, got nan"):
+            estimate(sample, ModelSpec(method="gls"))
 
 
 def test_methods_agree_when_effects_equal():

@@ -118,6 +118,14 @@ class TestRecoveryExperiment:
         table = render_recovery(stats, "tsv").splitlines()
         assert table[1:] == ["Pooling\t-0.300000\t0.000000\t0.000000\t", "LSDV\t-0.300000\t0.000000\t0.000000\t"]
 
+    def test_exact_gls_fits_are_the_within_fits(self):
+        # theta is 1 on every noise-free replication, so GLS is the within
+        # fit, LSDV's slope, and reports no coverage either
+        config = SimulationConfig(seed=1, regions=5, periods=9, b_true=-0.3, noise_sd=1e-200)
+        stats = recovery_experiment(config, 20)
+        assert stats.coverage == {"pooled": None, "lsdv": None, "gls": None}
+        assert (stats.mean_estimate["gls"], stats.sd["gls"]) == (stats.mean_estimate["lsdv"], stats.sd["lsdv"])
+
     def test_deterministic_across_calls(self):
         config = SimulationConfig(seed=21, regions=5, periods=9, b_true=-0.3)
         first = recovery_experiment(config, 50)

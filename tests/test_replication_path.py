@@ -24,14 +24,16 @@ from convpanel.regression import durbin_watson
 
 def sorted_durbin_watson(residuals, regions, years):
     """The grouped statistic by the general route: codes from np.unique,
-    rows put in (code, year) order by np.lexsort."""
+    rows put in (code, year) order by np.lexsort, and differences taken
+    between consecutive years of one region."""
     res = np.asarray(residuals, dtype=float)
     denominator = float(res @ res)
     if denominator == 0.0:
         return None
     codes = np.unique(np.asarray(regions), return_inverse=True)[1].reshape(-1)
     order = np.lexsort((np.asarray(years), codes))
-    within = codes[order][1:] == codes[order][:-1]
+    years = np.asarray(years)[order]
+    within = (codes[order][1:] == codes[order][:-1]) & (np.diff(years) == 1)
     if not within.any():
         return None
     steps = np.diff(res[order])[within]
