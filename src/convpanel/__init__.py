@@ -18,8 +18,9 @@ from .estimators import (
     fit_pooled,
 )
 from .io_report import (
-    derive_location_quotients,
+    location_quotients_from_rows,
     read_panel,
+    read_rows,
     render_report,
     write_panel,
 )
@@ -52,7 +53,6 @@ __all__ = [
     "annual_rate",
     "build_growth_sample",
     "classify",
-    "derive_location_quotients",
     "durbin_watson",
     "estimate_variance_components",
     "fit_gls_random_effects",
@@ -60,7 +60,9 @@ __all__ = [
     "fit_pooled",
     "half_life",
     "least_squares",
+    "location_quotients_from_rows",
     "read_panel",
+    "read_rows",
     "recovery_experiment",
     "render_report",
     "run_methods",

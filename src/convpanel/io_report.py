@@ -347,57 +347,65 @@ def read_panel(
     return panel_from_rows(read_rows(source), sector, start, end)
 
 
-def derive_location_quotients(
-    panel: PanelDataset,
-    total_employment: Mapping[Cell, float],
-    national_sector: Mapping[int, float] | None = None,
-    national_total: Mapping[int, float] | None = None,
+def location_quotients_from_rows(
+    rows: PanelRows,
+    sector: str,
+    start: int | None = None,
+    end: int | None = None,
 ) -> PanelDataset:
-    """Attach a location_quotient structural column to the panel.
+    """Panel for ``sector`` with a location_quotient structural column,
+    (sector / national sector) / (total / national total), for every
+    (region, year) holding a productivity value.
 
-    Sectoral employment comes from the panel's ``employment`` column;
-    ``total_employment`` maps (region, year) to all-sector employment.
-    National totals default to the sum over the panel's regions;
-    explicit per-year overrides (from NATIONAL rows) win. A quotient,
-    (sector / national sector) / (total / national total), is computed
-    for every (region, year) holding a productivity value.
+    Sectoral employment is the panel's ``employment`` column; a region's
+    total sums employment across the file's sectors, in file order.
+    National figures come from NATIONAL rows where a year has them,
+    otherwise from summing the panel's regions in region order.
 
     Raises
     ------
     PanelDataError
-        If employment or totals are missing for any such cell, a count
-        is not positive, a regional count exceeds its national count, or
-        a quotient leaves the floating-point range. The first failing
+        If the panel has no employment column, or a cell lacks its
+        sector's employment, a regional count exceeds its national count,
+        or a quotient leaves the floating-point range. The first failing
         cell in (region, year) order is reported.
     """
+    panel = panel_from_rows(rows, sector, start, end)
     emp = panel.structural.get("employment")
     if not emp:
         raise PanelDataError(
-            f"panel for sector {panel.sector!r} has no employment column; "
+            f"panel for sector {sector!r} has no employment column; "
             "location quotients need employment data"
         )
-    totals = CellGrid.of(panel.regions, panel.periods, total_employment)
-    counts = np.stack([emp.grid, totals.grid])  # regional sector and total employment
-    # per-year national counts: the overrides, else each column's sum in region order
+    (regions, periods, sectors), codes = rows.labels, rows.codes
+    r, t = len(panel.regions), len(panel.periods)  # NATIONAL rows sum into row r
+    employment = rows.numbers[NUMERIC_COLUMNS.index("employment")]
+    # each row's place on those axes, -1 off them; a year on the axis lies in the window
+    region = CellGrid.codes(panel.regions + (NATIONAL_REGION,), regions)[codes[0]]
+    year = CellGrid.codes(panel.periods, periods)[codes[1]]
+    counted = (region >= 0) & (year >= 0) & ~np.isnan(employment)
+    cell = region[counted] * t + year[counted]
+    sums = np.bincount(cell, employment[counted], (r + 1) * t).reshape(r + 1, t)
+    seen = np.bincount(cell, minlength=(r + 1) * t).reshape(r + 1, t) > 0
+    counts = np.stack([emp.grid, np.where(seen, sums, np.nan)[:-1]])  # regional sector and total
+    # per-year national counts: the NATIONAL rows' where a year has them, else each column's
+    # sum in region order
     with np.errstate(over="ignore"):  # an infinite sum fails as the quotient it spoils
-        sums = np.nansum(counts, axis=1).tolist()
-    nat_sector, nat_total = (
-        {**dict(zip(panel.periods, column)), **(override or {})}
-        for column, override in zip(sums, (national_sector, national_total))
-    )
-    national = np.array([[nat[year] for year in panel.periods] for nat in (nat_sector, nat_total)])
+        national = np.nansum(counts, axis=1)
+    national[1, seen[-1]] = sums[-1, seen[-1]]
+    own = counted & (region == r) & (codes[2] == CellGrid.codes(sectors, [sector]))
+    national[0, year[own]] = employment[own]  # one a year: keys are unique
     with np.errstate(all="ignore"):
         shares = counts / national[:, None, :]
         quotients = shares[0] / shares[1]
-    valid = (counts > 0.0).all(axis=0) & (counts <= national[:, None, :]).all(axis=0)
-    valid &= (national > 0.0).all(axis=0) & np.isfinite(quotients)
+    # a missing count (NaN) fails its comparison; read employment is positive, so a cell
+    # with its sector's count has a positive total and positive national counts
+    valid = (counts <= national[:, None, :]).all(axis=0) & np.isfinite(quotients)
     present = ~np.isnan(panel.values.grid)
-    if not valid[present].all():
-        order = sorted(range(len(panel.regions)), key=panel.regions.__getitem__)
-        k, j = np.argwhere(present[order] & ~valid[order])[0].tolist()
-        i, year = order[k], panel.periods[j]
-        inputs = (emp.grid.item(i, j), nat_sector[year], totals.grid.item(i, j), nat_total[year])
-        raise _quotient_error(panel.sector, (panel.regions[i], year), *inputs)
+    if not valid[present].all():  # regions are sorted: the first cell is in region order
+        i, j = np.argwhere(present & ~valid)[0].tolist()
+        inputs = (emp.grid.item(i, j), national.item(0, j), counts.item(1, i, j), national.item(1, j))
+        raise _quotient_error(sector, (panel.regions[i], panel.periods[j]), *inputs)
     column = CellGrid(panel.regions, panel.periods, np.where(present, quotients, np.nan))
     return replace(panel, structural={**panel.structural, "location_quotient": column})
 
@@ -405,20 +413,14 @@ def derive_location_quotients(
 def _quotient_error(sector: str, cell: Cell, *inputs: float) -> PanelDataError:
     """The error of the first check a cell's quotient inputs fail, given
     as regional sector, national sector, regional total and national
-    total employment: both regional counts present, each count
-    positive, each regional count at most its national one, then the
-    quotient within the floating-point range. Every message names the cell."""
+    total employment: the regional sector count present, each regional
+    count at most its national one, then the quotient within the
+    floating-point range. Every message names the cell."""
     region, year = cell
     where = f"for region {region!r}, year {year}"
     regional_sector, national_sector, regional_total, national_total = inputs
     if math.isnan(regional_sector):
         return PanelDataError(f"missing employment {where}, sector {sector!r}")
-    if math.isnan(regional_total):
-        return PanelDataError(f"missing total employment {where}")
-    names = ("regional_sector", "national_sector", "regional_total", "national_total")
-    for name, value in zip(names, inputs):
-        if not value > 0.0:
-            return PanelDataError(f"{name} employment must be positive {where}, got {value!r}")
     if regional_sector > national_sector:
         return PanelDataError(f"regional sector employment exceeds the national count {where}")
     if regional_total > national_total:
@@ -427,38 +429,6 @@ def _quotient_error(sector: str, cell: Cell, *inputs: float) -> PanelDataError:
         f"location quotient out of floating-point range {where}: regional total "
         f"{regional_total!r} against national total {national_total!r}"
     )
-
-
-def location_quotients_from_rows(
-    rows: PanelRows,
-    sector: str,
-    start: int | None = None,
-    end: int | None = None,
-) -> PanelDataset:
-    """Panel for ``sector`` with location quotients derived from a whole
-    file's employment data.
-
-    Regional totals sum employment across the file's sectors, in file
-    order; national figures come from NATIONAL rows when present,
-    otherwise from summing the regions.
-    """
-    panel = panel_from_rows(rows, sector, start, end)
-    (regions, periods, sectors), codes = rows.labels, rows.codes
-    shape = (len(panel.regions) + 1, len(panel.periods))  # NATIONAL rows sum into the last row
-    employment = rows.numbers[NUMERIC_COLUMNS.index("employment")]
-    # each row's place on those axes, -1 off them; a year on the axis lies in the window
-    region = CellGrid.codes(panel.regions + (NATIONAL_REGION,), regions)[codes[0]]
-    year = CellGrid.codes(panel.periods, periods)[codes[1]]
-    counted = (region >= 0) & (year >= 0) & ~np.isnan(employment)
-    cell = region[counted] * shape[1] + year[counted]
-    sums = np.bincount(cell, employment[counted], shape[0] * shape[1]).reshape(shape)
-    seen = np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape) > 0
-    totals = CellGrid(panel.regions, panel.periods, np.where(seen, sums, np.nan)[:-1])
-    national_total = dict(compress(zip(panel.periods, sums[-1].tolist()), seen[-1]))
-    own = counted & (region == shape[0] - 1) & (codes[2] == CellGrid.codes(sectors, [sector]))
-    years = [panel.periods[j] for j in year[own].tolist()]  # one a year: keys are unique
-    national_sector = dict(zip(years, employment[own].tolist()))
-    return derive_location_quotients(panel, totals, national_sector, national_total)
 
 
 def write_panel(panel: PanelDataset, destination: str | Path | TextIO) -> None:

@@ -16,16 +16,17 @@ measures bias, spread and confidence coverage of each estimator on
 panels whose true convergence rate is known. Replications run in
 blocks: each replication draws from its own generator, and the block's
 stacked log levels become one block sample through the one builder,
-``panel.growth_sample_from_logs``, fitted once per method. A block fails
-as a whole; it is then rerun one replication at a time, so the failure
-reported is the first failing replication's own.
+``panel.growth_sample_from_logs``, fitted once per method. A block that
+fails as a whole is refitted one replication at a time, each a block of
+one whose fits are kept; a replication that fails alone reports its own
+error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NoReturn, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -196,22 +197,18 @@ def _sample(config: SimulationConfig, log_p: np.ndarray) -> GrowthSample:
     return growth_sample_from_logs(log_p, regions, periods, "simulated")
 
 
-def _replay(
-    config: SimulationConfig, seeds: np.ndarray, first: int, specs: Sequence[ModelSpec], error: Exception
-) -> NoReturn:
-    """Rerun a block of replications that failed with ``error``, one at a
-    time from replication ``first`` on, and raise the first failure: a
-    level check error as it is, a fit's error with its replication and
-    method. A block whose replications all pass alone fails as a block."""
-    for i, seed in enumerate(seeds.tolist(), first):
-        sample = _sample(config, _log_levels(config, [seed])[0])
-        for spec in specs:
-            try:
-                _fit(sample, spec)
-            except Exception as failure:
-                raise EstimationError(f"replication {i} failed for {spec.method}: {failure}") from failure
-    last = first + len(seeds) - 1
-    raise EstimationError(f"replications {first}-{last} failed as a block: {error}") from error
+def _alone(config: SimulationConfig, seed: int, i: int, specs: Sequence[ModelSpec]) -> list:
+    """The fits of replication ``i`` drawn from ``seed`` as a block of one:
+    its level check error as it is, a fit's error with its replication
+    and method."""
+    sample = _sample(config, _log_levels(config, [seed]))
+    fits = []
+    for spec in specs:
+        try:
+            fits.append(_fit(sample, spec))
+        except Exception as failure:
+            raise EstimationError(f"replication {i} failed for {spec.method}: {failure}") from failure
+    return fits
 
 
 def recovery_experiment(
@@ -234,11 +231,10 @@ def recovery_experiment(
     EstimationError
         If fewer than 2 replications are asked for, or if any
         replication's fit fails; the message carries the replication
-        index. A block that fails is rerun one replication at a time, and
-        the first failure in replication order is reported: within a
-        replication its level check comes before its fits, which come in
-        ``methods`` order. A block whose replications all pass alone is
-        reported by its replication range.
+        index. A block that fails is refitted one replication at a time,
+        each a block of one, and those fits count; the first replication
+        that fails alone is reported: within a replication its level
+        check comes before its fits, which come in ``methods`` order.
     """
     if replications < 2:
         raise EstimationError(
@@ -256,18 +252,18 @@ def recovery_experiment(
     size = max(1, _BLOCK_CELLS // (config.regions * config.periods))
     for first in range(0, replications, size):
         seeds = child_seeds[first : first + size]
-        log_p = _log_levels(config, seeds)
         # a failing replication raises its error, not numpy's warnings
         with np.errstate(all="ignore"):
             try:
-                sample = _sample(config, log_p)
-                block = [_fit(sample, spec) for spec in specs]
-            except Exception as error:
-                _replay(config, seeds, first, specs, error)
-        for fits in block:
+                sample = _sample(config, _log_levels(config, seeds))
+                fitted = [(first, _fit(sample, spec)) for spec in specs]
+            except Exception:  # a block's members equal their one-member fits: take those
+                alone = (_alone(config, seed, i, specs) for i, seed in enumerate(seeds.tolist(), first))
+                fitted = [(i, fits) for i, block in enumerate(alone, first) for fits in block]
+        for start, fits in fitted:
             column = fits.labels.index(CONVERGENCE_LABEL)
             b_hat = fits.coefficients[:, column]
-            estimates[fits.method][first : first + len(b_hat)] = b_hat
+            estimates[fits.method][start : start + len(b_hat)] = b_hat
             half_width = t_critical(fits.df_residual, 0.05) * fits.std_errors[:, column]
             covered[fits.method] += int(np.count_nonzero(np.abs(b_hat - config.b_true) <= half_width))
             if dict(fits.flags)["exact_fit"].any():

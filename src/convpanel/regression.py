@@ -104,6 +104,7 @@ def least_squares(design: DesignMatrix, y: Sequence[float], method: str = "poole
     EstimationError
         If n <= k, or if the design holds a NaN or an infinity.
         If the norm of a design column overflows, the error names it.
+        If the response is not finite, or its sum of squares overflows.
     RankDeficientError
         If a pivot is not above ``RANK_TOLERANCE`` relative to the largest
         one (a zero largest pivot included); the error names the
@@ -270,7 +271,8 @@ def _pivoted_qr(X: np.ndarray, y: np.ndarray, labels: Sequence[str]) -> tuple[np
     formed. Each step's few scalars are worked out member by member; all
     the arithmetic on rows runs once over the block. A design that holds
     a NaN or an infinity fails with an EstimationError, and so does one
-    with a column whose norm overflows, the error naming its label.
+    with a column whose norm overflows, the error naming its label; then
+    a response that is not finite, or whose sum of squares overflows.
     """
     work = np.concatenate([X.transpose(0, 2, 1), y[:, None, :]], axis=1)
     B, k = work.shape[0], work.shape[1] - 1
@@ -280,6 +282,10 @@ def _pivoted_qr(X: np.ndarray, y: np.ndarray, labels: Sequence[str]) -> tuple[np
         finite = np.isfinite(columns).all(axis=(1, 2))
         _fail(~finite, lambda b: EstimationError("design matrix must be finite"))
         _check_norms(norms, labels)
+    # a NaN or an infinity, or a sum of squares that overflows
+    _fail(~np.isfinite(np.einsum("bi,bi->b", y, y)), lambda b: EstimationError(
+        "response must be finite, and its sum of squares must not overflow"
+    ))
     # per member and column: the norm, the norm as last computed in full,
     # and the column's index in X, swapped together
     state = np.empty((B, k, 3))

@@ -151,7 +151,7 @@ def test_grouped_durbin_watson_matches_loop(seed):
     assert got == pytest.approx(loop_durbin_watson(residuals, regions, years), rel=1e-12)
 
 
-def test_grouped_durbin_watson_differences_across_year_gaps():
+def test_grouped_durbin_watson_differences_no_pair_across_a_year_gap():
     # residuals [1, 1, -1, -1] at 2001, 2002, 2006, 2007, given out of order:
     # 2002 and 2006 are not consecutive years, so only equal residuals are differenced
     assert durbin_watson([-1.0, 1.0, -1.0, 1.0], ["a"] * 4, [2007, 2001, 2006, 2002]) == 0.0

@@ -124,21 +124,24 @@ def test_a_failing_member_fails_as_its_one_member_fit(failing_replications):
     assert str(block.value) == f"replication 3 failed for pooled: {one.value}"
 
 
-def test_a_block_that_fails_only_as_a_block_is_named_by_its_range(monkeypatch, capsys):
-    real_fit = mc._fit
+def test_a_block_that_fails_only_as_a_block_gives_its_one_member_fits(monkeypatch, capsys):
+    argv = ["recover", "--seed", "1", "--reps", "20", "--format", "json"]
+    with monkeypatch.context() as patch:
+        patch.setattr(mc, "_BLOCK_CELLS", 5 * 9)  # blocks of one replication at 5x9
+        assert main(argv) == 0
+    alone = capsys.readouterr().out
+    real_fit, failed = mc._fit, []
 
     def fit(sample, spec):
-        if sample.batched:
+        if sample.members > 1:
+            failed.append(spec.method)
             raise EstimationError("forced failure")
         return real_fit(sample, spec)
 
     monkeypatch.setattr(mc, "_fit", fit)
-    monkeypatch.setattr(mc, "_BLOCK_CELLS", 8 * 5 * 9)  # blocks of 8 replications at 5x9
-    message = "replications 0-7 failed as a block: forced failure"
-    with pytest.raises(EstimationError, match=f"^{message}$"):
-        recovery_experiment(SimulationConfig(seed=1, regions=5, periods=9, b_true=-0.3), 20)
-    assert main(["recover", "--seed", "1", "--reps", "20"]) == 3
-    assert capsys.readouterr().err.splitlines() == [f"convpanel: estimation error: {message}"]
+    assert main(argv) == 0
+    assert failed == ["pooled"]  # the one block of 20 failed, and was refitted one at a time
+    assert capsys.readouterr() == (alone, "")
 
 
 def test_between_df_of_a_rank_deficient_between_design(tmp_path, capsys):

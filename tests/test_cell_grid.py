@@ -1,6 +1,7 @@
 """CellGrid, the read-only (region, year) mapping over a regions x periods
 array that holds every column of a PanelDataset."""
 
+import io
 import math
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from convpanel.errors import PanelDataError
-from convpanel.io_report import derive_location_quotients
+from convpanel.io_report import location_quotients_from_rows, read_rows
 from convpanel.panel import CellGrid, PanelDataset, build_growth_sample, sigma_dispersion
 
 REGIONS = ("b", "a", "c")
@@ -143,13 +144,15 @@ def test_location_quotient_year_sums_run_in_region_order():
     years = tuple(range(1990, 2000))
     employment = rng.lognormal(5.0, 2.0, size=(len(regions), len(years)))
     employment[rng.random(employment.shape) < 0.2] = np.nan
-    values = np.where(np.isnan(employment), np.nan, 1.0)
-    panel = PanelDataset(
-        regions, years, "s", CellGrid(regions, years, values),
-        {"employment": CellGrid(regions, years, employment)},
-    )
-    totals = CellGrid(regions, years, employment * 3.0)
-    quotients = derive_location_quotients(panel, totals).structural["location_quotient"]
+    # each region's total is three times its sector's: e + 2e rounds as e * 3.0 does
+    lines = ["region,year,sector,output_per_worker,employment"]
+    for i, region in enumerate(regions):
+        for j, year in enumerate(years):
+            if not math.isnan(employment[i, j]):
+                emp = employment.item(i, j)
+                lines += [f"{region},{year},s,1.0,{emp!r}", f"{region},{year},t,,{2.0 * emp!r}"]
+    rows = read_rows(io.StringIO("\n".join(lines) + "\n"))
+    quotients = location_quotients_from_rows(rows, "s").structural["location_quotient"]
     for j, year in enumerate(years):
         national = sum(v for v in employment[:, j].tolist() if not math.isnan(v))
         national_total = sum(v for v in (employment[:, j] * 3.0).tolist() if not math.isnan(v))

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convpanel import location_quotients_from_rows, read_rows
 from convpanel.convergence import (
     CONVERGING,
     DIVERGING,
@@ -19,7 +21,7 @@ from convpanel.convergence import (
     run_methods,
 )
 from convpanel.errors import PanelDataError
-from convpanel.io_report import derive_location_quotients, render_report
+from convpanel.io_report import render_report
 from convpanel.montecarlo import SimulationConfig, simulate_panel
 from convpanel.panel import PanelDataset
 
@@ -97,21 +99,20 @@ class TestClassify:
 
 
 def location_quotient(regional_sector, national_sector, regional_total, national_total):
-    """The quotient of region "a" in 2000 on a 2 x 2 panel whose every
-    cell has these regional counts, with national overrides fixing the
-    national ones."""
-    years = (2000, 2001)
-    cells = [(region, year) for region in ("a", "b") for year in years]
-    employment = dict.fromkeys(cells, regional_sector)
-    panel = PanelDataset(
-        ("a", "b"), years, "s", dict.fromkeys(cells, 1.0), {"employment": employment}
-    )
-    out = derive_location_quotients(
-        panel,
-        dict.fromkeys(cells, regional_total),
-        dict.fromkeys(years, national_sector),
-        dict.fromkeys(years, national_total),
-    )
+    """The quotient of region "a" in 2000 from a file whose regions "a"
+    and "b" have these counts in 2000 and 2001: sector "s" and the rest
+    of each total in sector "other", with NATIONAL rows giving the
+    national ones (no NATIONAL "other" row when it would be 0)."""
+    counts = {"a": (regional_sector, regional_total), "b": (regional_sector, regional_total)}
+    counts["NATIONAL"] = (national_sector, national_total)
+    lines = ["region,year,sector,output_per_worker,employment"]
+    for region, (sector, total) in counts.items():
+        productivity = "" if region == "NATIONAL" else "1.0"
+        for year in (2000, 2001):
+            lines.append(f"{region},{year},s,{productivity},{sector!r}")
+            if total != sector:
+                lines.append(f"{region},{year},other,,{total - sector!r}")
+    out = location_quotients_from_rows(read_rows(io.StringIO("\n".join(lines) + "\n")), "s")
     return out.structural["location_quotient"][("a", 2000)]
 
 
@@ -126,14 +127,15 @@ class TestLocationQuotient:
         assert location_quotient(5.0, 1000.0, 500.0, 1000.0) == pytest.approx(0.01, abs=1e-12)
 
     def test_rejects_nonpositive(self):
-        message = r"^regional_sector employment must be positive for region 'a', year 2000, got 0\.0$"
+        # a nonpositive count is rejected as the file is read
+        message = r"^line 2: employment must be positive, got 0\.0$"
         with pytest.raises(PanelDataError, match=message):
             location_quotient(0.0, 1.0, 1.0, 1.0)
 
     def test_rejects_regional_above_national(self):
         message = "^regional sector employment exceeds the national count for region 'a', year 2000$"
         with pytest.raises(PanelDataError, match=message):
-            location_quotient(10.0, 5.0, 1.0, 2.0)
+            location_quotient(10.0, 5.0, 11.0, 20.0)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -141,7 +143,9 @@ class TestLocationQuotient:
         st.floats(min_value=0.01, max_value=1e4),
         st.floats(min_value=1e-3, max_value=1e3),
     )
-    def test_invariant_under_common_rescaling(self, sector, total, factor):
+    def test_invariant_under_common_rescaling(self, sector, rest, factor):
+        # a file's regional total holds its sector: the rest of it is drawn
+        total = sector + rest
         base = location_quotient(sector, sector * 10.0, total, total * 10.0)
         scaled = location_quotient(
             sector * factor, sector * 10.0 * factor, total * factor, total * 10.0 * factor

@@ -3,10 +3,12 @@ import pytest
 
 from convpanel.errors import EstimationError, PanelDataError
 from convpanel.estimators import (
+    METHODS,
     ModelSpec,
     estimate_variance_components,
     fit_gls_random_effects,
     fit_lsdv,
+    fit_method,
     fit_pooled,
 )
 from convpanel.montecarlo import SimulationConfig, simulate_panel
@@ -205,7 +207,7 @@ class TestGls:
         with pytest.raises(EstimationError, match="between regression infeasible"):
             fit_gls_random_effects(sample, ModelSpec(method="gls", structural=names))
 
-    def test_degenerate_zero_variance_errors(self):
+    def test_exact_within_fit_gives_gls_an_exact_row(self):
         # exact linear growth per region: the within fit is perfect, so theta
         # is 1 and GLS prints the within fit as an exact row
         from convpanel.panel import GrowthColumns, GrowthSample
@@ -254,13 +256,18 @@ class TestGls:
 
 
 def test_variance_components_validation():
-    # a NaN response leaves no positive idiosyncratic variance; a theta
-    # outside [0, 1) cannot follow from a positive one, so nothing else is checked
-    sample = simulated_sample(seed=7)
-    sample.rows.data[4, 0] = np.nan
-    for estimate in (estimate_variance_components, fit_gls_random_effects):
-        with pytest.raises(EstimationError, match="idiosyncratic variance must be positive, got nan"):
-            estimate(sample, ModelSpec(method="gls"))
+    # a NaN response, or one whose sum of squares overflows, fails in the
+    # solver, whichever fit meets it first; a theta outside [0, 1) cannot
+    # follow, so nothing else is checked
+    message = "^response must be finite, and its sum of squares must not overflow$"
+    for response in (np.nan, 1e200):
+        sample = simulated_sample(seed=7)
+        sample.rows.data[4, 0] = response
+        for method in METHODS:
+            with pytest.raises(EstimationError, match=message):
+                fit_method(sample, ModelSpec(method=method))
+        with pytest.raises(EstimationError, match=message):
+            estimate_variance_components(sample, ModelSpec(method="gls"))
 
 
 def test_methods_agree_when_effects_equal():

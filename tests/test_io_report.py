@@ -8,7 +8,6 @@ import pytest
 from convpanel.convergence import run_methods
 from convpanel.errors import PanelDataError
 from convpanel.io_report import (
-    derive_location_quotients,
     location_quotients_from_rows,
     read_panel,
     read_rows,
@@ -204,58 +203,57 @@ class TestRoundTrip:
 
 
 class TestLocationQuotients:
-    def test_identity_when_structure_matches(self):
-        # every region's sector share equals the national structure
-        values = {(r, y): 100.0 for r in ("a", "b") for y in (2000, 2001)}
+    def test_identity_when_structure_matches(self, tmp_path):
+        # every region's sector share equals the national structure: the
+        # other sector holds nine times each region's sector employment
         employment = {("a", 2000): 10.0, ("a", 2001): 12.0, ("b", 2000): 30.0, ("b", 2001): 36.0}
-        totals = {cell: 10.0 * emp for cell, emp in employment.items()}
-        panel = PanelDataset(
-            ("a", "b"), (2000, 2001), "s", values, {"employment": employment}
+        body = "".join(
+            f"{r},{y},s,100,,,{emp!r}\n{r},{y},other,,,,{9.0 * emp!r}\n"
+            for (r, y), emp in employment.items()
         )
-        out = derive_location_quotients(panel, totals)
+        out = location_quotients_from_rows(read_rows(write_csv(tmp_path, body)), "s")
         for value in out.structural["location_quotient"].values():
             assert value == pytest.approx(1.0, abs=1e-12)
 
-    def test_hand_computed_quotient(self):
-        values = {("a", 2000): 100.0, ("b", 2000): 100.0, ("a", 2001): 100.0, ("b", 2001): 100.0}
-        employment = {("a", 2000): 20.0, ("b", 2000): 80.0, ("a", 2001): 20.0, ("b", 2001): 80.0}
-        totals = {("a", 2000): 200.0, ("b", 2000): 1800.0, ("a", 2001): 200.0, ("b", 2001): 1800.0}
-        panel = PanelDataset(("a", "b"), (2000, 2001), "s", values, {"employment": employment})
-        out = derive_location_quotients(panel, totals)
+    def test_hand_computed_quotient(self, tmp_path):
+        # sector employment a 20, b 80; totals a 200, b 1800
+        body = "".join(
+            f"{r},{y},s,100,,,{emp}\n{r},{y},other,,,,{rest}\n"
+            for r, emp, rest in (("a", 20, 180), ("b", 80, 1720)) for y in (2000, 2001)
+        )
+        out = location_quotients_from_rows(read_rows(write_csv(tmp_path, body)), "s")
         assert out.structural["location_quotient"][("a", 2000)] == pytest.approx(2.0, abs=1e-12)
 
-    def test_missing_employment_errors(self):
-        values = {("a", 2000): 100.0, ("b", 2000): 100.0, ("a", 2001): 100.0, ("b", 2001): 100.0}
-        employment = {("a", 2000): 20.0}
-        panel = PanelDataset(("a", "b"), (2000, 2001), "s", values, {"employment": employment})
+    def test_missing_employment_errors(self, tmp_path):
+        body = "a,2000,s,100,,,20\nb,2000,s,100,,,\na,2001,s,100,,,\nb,2001,s,100,,,\n"
+        rows = read_rows(write_csv(tmp_path, body))
         with pytest.raises(PanelDataError, match="missing employment"):
-            derive_location_quotients(panel, {("a", 2000): 1.0})
+            location_quotients_from_rows(rows, "s")
 
-    def test_missing_total_employment_errors(self):
-        values = {(r, y): 100.0 for r in ("a", "b") for y in (2000, 2001)}
-        employment = {cell: 20.0 for cell in values}
-        totals = {cell: 200.0 for cell in values if cell != ("b", 2000)}
-        panel = PanelDataset(("a", "b"), (2000, 2001), "s", values, {"employment": employment})
+    def test_first_failing_cell_in_region_order(self, tmp_path):
+        # both regions fail; "b" comes first in the file and by year, "a" in region order
+        body = (
+            "b,2000,s,100,,,\n"
+            "b,2001,s,100,,,20\n"
+            "a,2000,s,100,,,20\n"
+            "a,2001,s,100,,,30\n"
+            "NATIONAL,2001,s,,,,25\n"
+        )
+        rows = read_rows(write_csv(tmp_path, body))
         with pytest.raises(PanelDataError) as error:
-            derive_location_quotients(panel, totals)
-        assert str(error.value) == "missing total employment for region 'b', year 2000"
+            location_quotients_from_rows(rows, "s")
+        assert str(error.value) == (
+            "regional sector employment exceeds the national count for region 'a', year 2001"
+        )
 
-    def test_first_failing_cell_in_region_order(self):
-        # both regions fail; "b" comes first on the grid and by year, "a" by name
-        values = {(r, y): 100.0 for r in ("b", "a") for y in (2000, 2001)}
-        employment = {cell: 20.0 for cell in values if cell != ("b", 2000)}
-        totals = {cell: 200.0 for cell in values if cell != ("a", 2001)}
-        panel = PanelDataset(("b", "a"), (2000, 2001), "s", values, {"employment": employment})
-        with pytest.raises(PanelDataError) as error:
-            derive_location_quotients(panel, totals)
-        assert str(error.value) == "missing total employment for region 'a', year 2001"
-
-    def test_quotients_only_where_productivity_is_present(self):
+    def test_quotients_only_where_productivity_is_present(self, tmp_path):
         values = {("a", 2000): 100.0, ("a", 2001): 100.0, ("b", 2000): 100.0}
-        employment = {(r, y): 20.0 for r in ("a", "b") for y in (2000, 2001)}
-        totals = {cell: 200.0 for cell in employment}
-        panel = PanelDataset(("a", "b"), (2000, 2001), "s", values, {"employment": employment})
-        lq = derive_location_quotients(panel, totals).structural["location_quotient"]
+        body = "".join(
+            f"{r},{y},s,{values.get((r, y), '')},,,20\n{r},{y},other,,,,180\n"
+            for r in ("a", "b") for y in (2000, 2001)
+        )
+        panel = location_quotients_from_rows(read_rows(write_csv(tmp_path, body)), "s")
+        lq = panel.structural["location_quotient"]
         assert (lq.regions, lq.periods) == (panel.regions, panel.periods)
         assert lq.grid.tolist()[0] == [1.0, 1.0]
         assert lq.grid[1, 0] == 1.0 and math.isnan(lq.grid[1, 1])
