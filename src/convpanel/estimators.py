@@ -22,7 +22,7 @@ member's error.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -112,17 +112,10 @@ def fit_pooled(sample: GrowthSample, spec: ModelSpec) -> FitResult | _BlockFit:
     spec -> 38).
     """
     _check_sample(sample, spec)
-    return _result(sample, _pooled_fit(sample, spec))
-
-
-def _pooled_fit(sample: GrowthSample, spec: ModelSpec) -> _BlockFit:
-    """Pooled OLS's fits, which are GLS's where every theta is 0. Built
-    once per sample and kept in ``sample.fits``."""
-    if "pooled" not in sample.fits:
-        slopes = sample.slopes
-        X = np.concatenate([np.ones(slopes.shape[:-1] + (1,)), slopes], axis=-1)
-        sample.fits["pooled"] = _solve(X, sample.y, ("Const.",) + spec.slope_labels, "pooled")
-    return sample.fits["pooled"]
+    slopes = sample.slopes
+    X = np.concatenate([np.ones(slopes.shape[:-1] + (1,)), slopes], axis=-1)
+    labels = ("Const.",) + spec.slope_labels
+    return _result(sample, _solve(X, sample.y, labels, "pooled"))
 
 
 def _lsdv_fit(sample: GrowthSample, spec: ModelSpec) -> _BlockFit:
@@ -265,9 +258,9 @@ def fit_gls_random_effects(
     the response and each slope column, and the intercept column becomes
     1 - theta_i; OLS on the transformed data is the GLS estimate, with
     degrees of freedom n - (1 + slopes). With sigma2_u estimated at 0
-    the transform is the identity, and the fit is pooled OLS's under
-    GLS's name and flags. Where the within fit is exact, theta is 1: the
-    fit is the within fit, its intercept dropped, and exact too.
+    the transform is the identity and the fit equals pooled OLS. Where
+    the within fit is exact, theta is 1: the fit is the within fit, its
+    intercept dropped, and exact too.
 
     ``theta_override`` is a test hook that fixes a common theta for all
     regions, skipping the variance-component step. Overriding with 1.0
@@ -287,8 +280,6 @@ def fit_gls_random_effects(
         theta = np.full((sample.members, len(sample.regions)), float(theta_override))
         flags = (("theta_override", np.ones(sample.members, dtype=bool)),)
 
-    if not theta.any():  # no transform: the design and response are pooled's
-        return _result(sample, replace(_pooled_fit(sample, spec), method="gls", flags=flags))
     y_star, slopes_star = sample.demeaned(theta)
     intercept_star = 1.0 - theta[:, sample.rows.code]
     if not intercept_star.any():

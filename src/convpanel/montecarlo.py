@@ -257,9 +257,12 @@ def recovery_experiment(
             try:
                 sample = _sample(config, _log_levels(config, seeds))
                 fitted = [(first, _fit(sample, spec)) for spec in specs]
-            except Exception:  # a block's members equal their one-member fits: take those
-                alone = (_alone(config, seed, i, specs) for i, seed in enumerate(seeds.tolist(), first))
-                fitted = [(i, fits) for i, block in enumerate(alone, first) for fits in block]
+            except (EstimationError, PanelDataError):  # a block's members equal their one-member fits
+                fitted = [
+                    (i, fits)
+                    for i, seed in enumerate(seeds.tolist(), first)
+                    for fits in _alone(config, seed, i, specs)
+                ]
         for start, fits in fitted:
             column = fits.labels.index(CONVERGENCE_LABEL)
             b_hat = fits.coefficients[:, column]

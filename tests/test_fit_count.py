@@ -5,8 +5,7 @@ Every least-squares fit goes through one column-pivoted QR,
 pins the fits an invocation makes: Pooling is one QR, LSDV one (its
 within fit), and GLS three (the within fit, the between regression and
 the quasi-demeaned fit), where LSDV and GLS share the within fit of one
-sample, and GLS whose every theta is 0 takes Pooling's fit. A block of
-Monte Carlo replications is fitted like one sample.
+sample. A block of Monte Carlo replications is fitted like one sample.
 """
 
 import contextlib
@@ -39,7 +38,7 @@ def qr_count(monkeypatch, argv) -> int:
     ("argv", "expected"),
     [
         (["fit", *SIM, "--method", "all"], 4),
-        (["fit", *STRUCTURAL, "--method", "all", *CONDITIONAL], 3),
+        (["fit", *STRUCTURAL, "--method", "all", *CONDITIONAL], 4),
         (["fit", *SIM, "--method", "pooled"], 1),
         (["fit", *SIM, "--method", "lsdv"], 1),
         (["fit", *SIM, "--method", "gls"], 3),
