@@ -14,6 +14,8 @@ identical bytes.
 from __future__ import annotations
 
 import argparse
+import io
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -28,10 +30,10 @@ from .io_report import (
     panel_from_rows,
     read_rows,
     render_location_quotients,
-    render_panel_csv,
     render_recovery,
     render_report,
     render_sigma,
+    write_panel,
 )
 from .montecarlo import SimulationConfig, recovery_experiment, simulate_panel
 from .panel import PanelDataset, sigma_dispersion
@@ -46,7 +48,12 @@ CONDITIONAL_ALIASES = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the package's usage exit code (1, not argparse's 2)."""
+    """argparse with the package's usage exit code (1, not argparse's 2),
+    reading ``-1e-3`` as a negative number, as Python 3.13's argparse does."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")  # 3.10-3.12 read only -N and -N.N
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -193,7 +200,9 @@ def _cmd_lq(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
-    _emit(render_panel_csv(simulate_panel(_simulation_config(args))), args.out)
+    buffer = io.StringIO()
+    write_panel(simulate_panel(_simulation_config(args)), buffer)
+    _emit(buffer.getvalue(), args.out)
 
 
 def _cmd_recover(args) -> None:

@@ -655,10 +655,3 @@ def render_recovery(stats: RecoveryStats, fmt: str = "md") -> str:
 
     payload = {"b_true": stats.b_true, "replications": stats.replications, "rows": rows}
     return _render(payload, fmt, ["Method", "Mean b", "Bias", "SD", "Coverage95"], cells)
-
-
-def render_panel_csv(panel: PanelDataset) -> str:
-    """The CSV text write_panel would produce (for stdout use)."""
-    buffer = io.StringIO()
-    write_panel(panel, buffer)
-    return buffer.getvalue()

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -123,7 +124,7 @@ def simulate_panel(config: SimulationConfig) -> PanelDataset:
     cell is positive and the panel is balanced.
     """
     regions, periods = _axes(config)
-    levels = _checked_levels(_log_levels(config, [config.seed])[0], regions)
+    levels = _checked_levels(_log_levels(config, [config.seed])[0], regions, periods)
     return PanelDataset(regions, periods, "simulated", CellGrid(regions, periods, levels))
 
 
@@ -167,33 +168,26 @@ def _log_levels(config: SimulationConfig, seeds: Sequence[int]) -> np.ndarray:
     return by_year.transpose(1, 2, 0)
 
 
-def _checked_levels(log_p: np.ndarray, regions: tuple[str, ...]) -> np.ndarray:
+def _checked_levels(log_p: np.ndarray, regions: Sequence[str], periods: Sequence[int]) -> np.ndarray:
     """exp(log_p), every level positive and finite, for one regions x
     periods grid or a block of them.
 
-    A level that is not fails as the panel's own check would: the first
-    NaN if there is one, else the first infinite or zero level, in
-    (member-,) region-then-year order.
+    A level that is not fails through the panel's own check, which each
+    member's cells meet as a dict until one raises: a dict reads NaN as
+    a bad cell, where a grid reads it as an absent one.
     """
     with np.errstate(over="ignore"):  # an overflow is reported as the infinite cell it makes
         levels = np.exp(log_p)
-    if np.isfinite(levels).all() and levels.all():
-        return levels
-    bad = np.isnan(levels)
-    if not bad.any():
-        bad = (levels <= 0.0) | (levels == np.inf)
-    cell = tuple(np.argwhere(bad)[0].tolist())
-    i, j = cell[-2:]
-    raise PanelDataError(
-        "output per worker must be positive and finite, "
-        f"got {levels[cell].item()!r} at {(regions[i], j + 1)}"
-    )
+    if not (np.isfinite(levels).all() and levels.all()):
+        for member in levels.reshape(-1, len(regions) * len(periods)).tolist():
+            PanelDataset(regions, periods, "simulated", dict(zip(product(regions, periods), member)))
+    return levels
 
 
 def _sample(config: SimulationConfig, log_p: np.ndarray) -> GrowthSample:
     """The growth sample of ``log_p`` (one grid or a block), after its level check."""
     regions, periods = _axes(config)
-    _checked_levels(log_p, regions)
+    _checked_levels(log_p, regions, periods)
     return growth_sample_from_logs(log_p, regions, periods, "simulated")
 
 

@@ -52,19 +52,6 @@ class CellGrid(Mapping[Cell, float]):
         named = np.bincount(codes, minlength=len(axis)) > 0
         return tuple(compress(axis, named.tolist())), (np.cumsum(named) - 1)[codes]
 
-    @classmethod
-    def of(cls, regions, periods, column: Mapping[Cell, float]) -> CellGrid:
-        """``column`` laid out on these axes, leaving out its cells outside
-        them and its NaN values; a ``CellGrid`` on these axes is kept."""
-        if isinstance(column, CellGrid) and (column.regions, column.periods) == (regions, periods):
-            return column
-        names, years = zip(*column) if column else ((), ())
-        i, j = cls.codes(regions, names), cls.codes(periods, years)
-        inside = (i >= 0) & (j >= 0)
-        grid = np.full((len(regions), len(periods)), np.nan)
-        grid[i[inside], j[inside]] = np.fromiter(column.values(), float, len(column))[inside]
-        return cls(regions, periods, grid)
-
     def __getitem__(self, cell: Cell) -> float:
         value = self.grid.item(self._row[cell[0]], self._col[cell[1]])  # KeyError outside the axes
         if math.isnan(value):
@@ -103,8 +90,8 @@ class PanelDataset:
         goods-flow/output ratio, location quotient, employment), finite.
 
     Each column is kept as a :class:`CellGrid` on the panel's axes; any
-    other mapping is laid out once, and a cell of it outside the axes,
-    or an explicit NaN, is an error. The dataset is immutable after
+    other mapping is laid out once, and its first cell outside the axes,
+    or NaN, in its own order is an error. The dataset is immutable after
     construction and safe to share across threads.
     """
 
@@ -140,18 +127,27 @@ class PanelDataset:
     def _on_axes(self, column, where: str, what: str, positive: bool = False) -> CellGrid:
         """``column`` as a :class:`CellGrid` on this panel's axes, every
         present value finite (and, if ``positive``, positive)."""
-        view = CellGrid.of(self.regions, self.periods, column)
-        if view is not column and len(view) < len(column):  # a cell outside the axes, or NaN
-            cell = next(cell for cell in column if cell not in view)
-            if cell[0] not in self.regions or cell[1] not in self.periods:
-                raise PanelDataError(f"{where.format(cell)} outside the region/period grid")
-            raise PanelDataError(f"{what}, got {column[cell]!r} at {cell}")
-        bad = (view.grid <= 0.0) | (view.grid == np.inf) if positive else np.isinf(view.grid)
+        axes = self.regions, self.periods
+        if not (isinstance(column, CellGrid) and (column.regions, column.periods) == axes):
+            names, years = zip(*column) if column else ((), ())
+            i, j = CellGrid.codes(self.regions, names), CellGrid.codes(self.periods, years)
+            values = np.fromiter(column.values(), float, len(column))
+            bad = (i < 0) | (j < 0) | np.isnan(values)
+            if bad.any():
+                k = bad.argmax()
+                cell = names[k], years[k]
+                if i[k] < 0 or j[k] < 0:
+                    raise PanelDataError(f"{where.format(cell)} outside the region/period grid")
+                raise PanelDataError(f"{what}, got {column[cell]!r} at {cell}")
+            grid = np.full((len(self.regions), len(self.periods)), np.nan)
+            grid[i, j] = values
+            column = CellGrid(*axes, grid)
+        bad = (column.grid <= 0.0) | (column.grid == np.inf) if positive else np.isinf(column.grid)
         if bad.any():
             i, j = np.argwhere(bad)[0]
             cell = (self.regions[i], self.periods[j])
-            raise PanelDataError(f"{what}, got {view.grid[i, j].item()!r} at {cell}")
-        return view
+            raise PanelDataError(f"{what}, got {column.grid[i, j].item()!r} at {cell}")
+        return column
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,24 @@ def test_cells_outside_the_axes_are_rejected():
     assert str(caught.value) == "structural cell ('z', 2000) of 'k' outside the region/period grid"
 
 
+NAN_CELL, OUTSIDE_CELL = (("c", 2001), math.nan), (("a", 2002), 1.0)
+
+
+@pytest.mark.parametrize(
+    "first, last, message",
+    [
+        (NAN_CELL, OUTSIDE_CELL, "output per worker must be positive and finite, got nan at ('c', 2001)"),
+        (OUTSIDE_CELL, NAN_CELL, "value cell ('a', 2002) outside the region/period grid"),
+    ],
+)
+def test_first_bad_cell_of_a_dict_is_named_in_the_dicts_order(first, last, message):
+    values = as_dict(VALUES)
+    del values[NAN_CELL[0]]
+    with pytest.raises(PanelDataError) as caught:
+        PanelDataset(REGIONS, YEARS, "s", dict([first, *values.items(), last]))
+    assert str(caught.value) == message
+
+
 def test_first_bad_cell_of_a_grid_is_named_in_region_then_year_order():
     grid = VALUES.copy()
     grid[2, 0], grid[1, 2] = 0.0, np.inf  # ('c', 2000) comes first in year order

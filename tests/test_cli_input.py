@@ -3,6 +3,7 @@ one diagnostic per single-row region under --method all, each warning
 and error on one stderr line, an overflowing simulation, location
 quotient or regressor, and an inverted year window."""
 
+import argparse
 import io
 import os
 import subprocess
@@ -188,6 +189,24 @@ def test_main_leaves_the_warnings_module_as_it_found_it(tmp_path, capsys, sector
         code, _, _ = run(capsys, "fit", "--input", str(path), "--sector", sector)
     assert (code, len(caught)) == ((0, 2) if sector == "x" else (2, 0))
     assert warnings.formatwarning is before
+
+
+def test_a_negative_number_in_exponent_form_is_a_value(capsys):
+    # argparse before Python 3.13 reads only -N and -N.N as negative numbers; the
+    # package's parser replaces this attribute with 3.13's rule
+    assert "_negative_number_matcher" in vars(argparse.ArgumentParser())
+    for *argv, flag, value in [
+        ("recover", "--seed", "1", "--reps", "20", "--b-true", "-1e-3"),
+        ("simulate", "--seed", "1", "--intercept", "-2e-2"),
+    ]:
+        spaced = run(capsys, *argv, flag, value)
+        assert spaced[:2] != (0, "") and spaced == run(capsys, *argv, f"{flag}={value}")
+    code, out, err = run(capsys, "simulate", "--seed", "1", "--noise-sd", "-1e-2")
+    assert (code, out, err) == (
+        2, "", "convpanel: data error: noise standard deviation must be positive, got -0.01\n"
+    )
+    code, out, err = run(capsys, "simulate", "--seed", "1", "-x", "1")
+    assert (code, out) == (1, "") and err.endswith("convpanel: error: unrecognized arguments: -x 1\n")
 
 
 # the first bad cell of an infinite noise draw: recover draws from a child seed

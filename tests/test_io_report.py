@@ -12,7 +12,6 @@ from convpanel.io_report import (
     read_panel,
     read_rows,
     render_location_quotients,
-    render_panel_csv,
     render_report,
     render_sigma,
     write_panel,
@@ -198,8 +197,9 @@ class TestRoundTrip:
     def test_unbalanced_cells_skipped(self):
         values = {("a", 2000): 1.5, ("a", 2001): 2.5, ("b", 2001): 3.5}
         panel = PanelDataset(("a", "b"), (2000, 2001), "s", values)
-        text = render_panel_csv(panel)
-        assert text.count("\n") == 4  # header + three cells
+        buffer = io.StringIO()
+        write_panel(panel, buffer)
+        assert buffer.getvalue().count("\n") == 4  # header + three cells
 
 
 class TestLocationQuotients:

@@ -18,7 +18,7 @@ import convpanel.montecarlo as mc
 from convpanel.errors import PanelDataError
 from convpanel.estimators import METHODS, ModelSpec, fit_method
 from convpanel.montecarlo import SimulationConfig, recovery_experiment, simulate_panel
-from convpanel.panel import CellGrid, PanelDataset, build_growth_sample, growth_sample_from_logs
+from convpanel.panel import PanelDataset, build_growth_sample, growth_sample_from_logs
 from convpanel.regression import durbin_watson
 
 
@@ -131,18 +131,25 @@ def test_simulated_panel_is_the_one_seed_draw(effects):
         ([[0.0, np.nan, 800.0], [0.0, 0.0, 0.0]], "got nan at ('R1', 2)"),
         ([[0.0, 1.0, 2.0], [0.0, 800.0, 0.0]], "got inf at ('R2', 2)"),
         ([[0.0, 1.0, 2.0], [-800.0, 0.0, 800.0]], "got 0.0 at ('R2', 1)"),
+        # a block whose member 0 overflows and member 1 holds a NaN: member 0 is named
+        (
+            [[[0.0, 1.0, 2.0], [0.0, 800.0, 0.0]], [[0.0, np.nan, 0.0], [0.0, 0.0, 0.0]]],
+            "got inf at ('R2', 2)",
+        ),
     ],
 )
 def test_replication_level_check_fails_as_the_panel_does(log_p, message):
     log_p = np.array(log_p)
     regions, periods = ("R1", "R2"), (1, 2, 3)
     with pytest.raises(PanelDataError) as replication:
-        mc._checked_levels(log_p, regions)
+        mc._checked_levels(log_p, regions, periods)
     assert str(replication.value) == f"output per worker must be positive and finite, {message}"
-    if "nan" not in message:  # the panel reads a NaN level as an absent cell
-        with np.errstate(over="ignore"), pytest.raises(PanelDataError) as panel:
-            PanelDataset(regions, periods, "simulated", CellGrid(regions, periods, np.exp(log_p)))
-        assert str(panel.value) == str(replication.value)
+    with np.errstate(over="ignore"):
+        levels = np.exp(log_p.reshape(-1, 2, 3)[0])  # member 0 fails in every case
+    cells = {(r, t): levels.item(i, j) for i, r in enumerate(regions) for j, t in enumerate(periods)}
+    with pytest.raises(PanelDataError) as panel:  # a dict, in which a NaN level is a bad cell
+        PanelDataset(regions, periods, "simulated", cells)
+    assert str(panel.value) == str(replication.value)
 
 
 # recovery_experiment(SimulationConfig(seed=2024, regions=5, periods=9,
